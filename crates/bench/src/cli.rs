@@ -38,7 +38,7 @@ USAGE:
 
 PERF OPTIONS:
     --quick                   CI scenario: WL1 only (full Table II otherwise)
-    --out <path>              where to write the JSON (default: BENCH_10.json)
+    --out <path>              where to write the JSON (default: BENCH_13.json)
     --max-seconds <N>         fail (exit 1) if the optimized run-all exceeds N s
     --gate <baseline.json>    fail (exit 1) on >25% regression in the
                               fig3/dataflows/mapping_search cells vs the committed baseline
@@ -67,7 +67,7 @@ EXAMPLES:
     pim-bench run all --format json        # supersedes the export_json binary
     pim-bench run fig5 --set sim_sampling=32 --set batch=4 --threads 1
     pim-bench run poisson --strategy greedy
-    pim-bench perf --quick --max-seconds 300 --gate BENCH_10_quick.json";
+    pim-bench perf --quick --max-seconds 300 --gate BENCH_13_quick.json";
 
 /// A CLI failure, split by exit code.
 #[derive(Debug)]
@@ -150,7 +150,7 @@ pub fn parse(args: &[String]) -> Result<Command, CliError> {
         }
         "perf" => {
             let mut quick = false;
-            let mut out = "BENCH_10.json".to_string();
+            let mut out = "BENCH_13.json".to_string();
             let mut max_seconds = None;
             let mut gate = None;
             let mut it = args[1..].iter();

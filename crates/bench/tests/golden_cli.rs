@@ -72,10 +72,43 @@ fn dataflows_json_format_is_pinned() {
     assert_golden(&["run", "dataflows", "--format", "json"], "dataflows.json");
 }
 
+/// `run dataflows --dataflow searched` over WL1 (the searched candidate
+/// wins) and WL2 (the OS preset wins) on two architectures: pins the DES
+/// latency (`sim_latency_cycles`) of SRCH rows, which the
+/// `mapping_search` EDP table never shows. The whole report, mean packet
+/// latency included, is pinned by `crates/core/tests/searched_resolver.rs`.
+const SRCH_DES_ARGS: [&str; 12] = [
+    "run",
+    "dataflows",
+    "--dataflow",
+    "searched",
+    "--workload",
+    "WL1",
+    "--workload",
+    "WL2",
+    "--arch",
+    "Floret",
+    "--arch",
+    "Kite",
+];
+
+#[test]
+fn searched_des_fields_table_format_is_pinned() {
+    assert_golden(&SRCH_DES_ARGS, "dataflows_searched.table.txt");
+}
+
+#[test]
+fn searched_des_fields_json_format_is_pinned() {
+    let mut args = SRCH_DES_ARGS.to_vec();
+    args.extend(["--format", "json"]);
+    assert_golden(&args, "dataflows_searched.json");
+}
+
 #[test]
 fn mapping_search_table_format_is_pinned() {
-    // The reduced axis keeps the searched-resolution pipeline (5 report
-    // builds per cell) affordable while still pinning two architectures.
+    // The reduced axis keeps the searched resolution (five candidates
+    // ranked per cell, the winner simulated) affordable while still
+    // pinning two architectures.
     assert_golden(
         &["run", "mapping_search", "--workload", "WL3"],
         "mapping_search.table.txt",

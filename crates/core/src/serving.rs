@@ -121,6 +121,9 @@ impl ServingSpec {
         if self.fleet == 0 {
             return Err(ServingError::ZeroField("fleet"));
         }
+        if self.fleet > MAX_FLEET {
+            return Err(ServingError::FleetTooLarge(self.fleet));
+        }
         if self.horizon_ms <= 0.0 || self.horizon_ms.is_nan() {
             return Err(ServingError::NonPositive {
                 field: "horizon_ms",
@@ -174,12 +177,19 @@ impl ServingSpec {
     }
 }
 
+/// Largest accepted [`ServingSpec::fleet`]: `fleet_key` packs the chip
+/// index into 16 bits.
+const MAX_FLEET: usize = 1 << 16;
+
 /// Why a [`ServingSpec`] was rejected — the typed counterpart of
 /// [`crate::ConfigError`]/[`crate::FaultError`] for the serving block.
 #[derive(Clone, Debug, PartialEq)]
 pub enum ServingError {
     /// A count field (`fleet`, `max_batch`, `queue_depth`) was zero.
     ZeroField(&'static str),
+    /// `fleet` exceeded 65 536 chips, the most the fleet loop's event
+    /// keys can address.
+    FleetTooLarge(usize),
     /// A numeric field that must be finite and strictly positive was
     /// not (`horizon_ms`, `slo_ms`, a load multiplier).
     NonPositive {
@@ -209,6 +219,9 @@ impl fmt::Display for ServingError {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
         match self {
             ServingError::ZeroField(field) => write!(f, "{field} must be at least 1"),
+            ServingError::FleetTooLarge(n) => {
+                write!(f, "fleet must be at most {MAX_FLEET} chips, got {n}")
+            }
             ServingError::NonPositive { field, value } => {
                 write!(f, "{field} must be positive, got {value}")
             }
@@ -1218,6 +1231,23 @@ mod tests {
         let mut s = spec();
         s.fleet = 0;
         assert_eq!(s.validate(), Err(ServingError::ZeroField("fleet")));
+    }
+
+    #[test]
+    fn largest_fleet_is_accepted() {
+        let mut s = spec();
+        s.fleet = 65_536;
+        assert_eq!(s.validate(), Ok(()));
+    }
+
+    #[test]
+    fn oversized_fleet_is_rejected() {
+        let mut s = spec();
+        s.fleet = 65_537;
+        assert_eq!(s.validate(), Err(ServingError::FleetTooLarge(65_537)));
+        assert!(ServingError::FleetTooLarge(65_537)
+            .to_string()
+            .contains("65537"));
     }
 
     #[test]
