@@ -6,20 +6,25 @@
 //! [`mapper::ArrivalConfig`]); a deterministic round-robin load
 //! balancer spreads the merged stream over a fleet of `N` identical
 //! chips; each chip runs dynamic batching with a max-delay window and a
-//! bounded admission queue. The per-chip event loops ride the bucketed
-//! [`netsim::CalendarQueue`] (shared with the packet DES), so horizons
-//! of millions of events stay cheap, and one queue per worker thread is
-//! reused across sweep cells.
+//! bounded admission queue. One event loop simulates the whole fleet on
+//! the bucketed [`netsim::CalendarQueue`] (shared with the packet DES):
+//! [`simulate_resilient_serving`] replays a [`FaultPlan`] of chip
+//! outages and throttling with retries, failover and shedding, and
+//! [`simulate_serving`] is the same loop on a healthy fleet. Each chip
+//! keeps only its next arrival on the calendar, so the calendar holds
+//! O(fleet) events and horizons of millions of events stay cheap.
 //!
 //! # Determinism contract
 //!
-//! The outcome is bit-identical for any worker-thread count: the
-//! request stream is generated once, single-threaded, from seeded
-//! ChaCha8 processes; chips simulate independently on disjoint request
-//! subsets; and results merge in `(load, chip)` index order. Changing
-//! `threads` can only change wall-clock time.
+//! The outcome is bit-identical for any worker-thread count: each load
+//! point's request stream is generated once, single-threaded, from
+//! seeded ChaCha8 processes; load points then simulate independently,
+//! each on its own calendar, and results are kept in `spec.loads`
+//! order. Within a load point events pop in `(time, key)` order and
+//! every key is unique; one chip's arrivals are already in that order,
+//! so feeding them one at a time pops them exactly as queuing them all
+//! up front would. Changing `threads` can only change wall-clock time.
 
-use std::cell::RefCell;
 use std::collections::VecDeque;
 use std::fmt;
 
@@ -256,27 +261,41 @@ pub struct LoadPointOutcome {
     pub offered_rps: f64,
     /// Requests generated over the horizon.
     pub offered: u64,
-    /// Requests completed (admitted and served).
+    /// Requests completed (admitted, possibly after retries, and served).
     pub completed: u64,
-    /// Requests rejected by full admission queues.
+    /// Requests turned away by a full admission queue (at first arrival,
+    /// or when a failed chip's queue failed over into full survivors).
     pub rejected: u64,
-    /// Median end-to-end latency, ns (nearest rank).
+    /// Requests dropped after exhausting retries or their deadline.
+    pub timed_out: u64,
+    /// Retry dispatches (a request lost twice retries twice).
+    pub retries: u64,
+    /// Requests steered away from their home chip (down at arrival, or
+    /// drained from a failing chip's queue).
+    pub failovers: u64,
+    /// Rejections attributable to degraded-mode shedding: the request
+    /// would have fit the healthy queue depth.
+    pub shed: u64,
+    /// Median end-to-end latency (from original arrival), ns (nearest
+    /// rank).
     pub p50_ns: u64,
     /// 95th-percentile end-to-end latency, ns.
     pub p95_ns: u64,
     /// 99th-percentile end-to-end latency, ns.
     pub p99_ns: u64,
     /// Fraction of *offered* requests served within the SLO (rejections
-    /// count as misses).
+    /// and timeouts count as misses).
     pub slo_attainment: f64,
     /// Mean requests per launched batch.
     pub mean_batch: f64,
     /// Per-chip busy fraction per horizon slice:
-    /// `chip_util[chip][slice]`.
+    /// `chip_util[chip][slice]`. A batch counts from its start for its
+    /// whole service time, even when a chip failure loses it.
     pub chip_util: Vec<Vec<f64>>,
     /// Every completed request's latency, ns, ascending.
     pub latencies_ns: Vec<u64>,
-    /// Calendar-queue events processed across the fleet.
+    /// Calendar-queue events processed across the fleet (including
+    /// fault events).
     pub events: u64,
 }
 
@@ -291,6 +310,14 @@ pub struct ServingOutcome {
     /// Total requests generated.
     pub requests: u64,
 }
+
+/// Per-load-point outcome of [`simulate_resilient_serving`]: the same
+/// type as a healthy sweep's.
+pub type ResiliencePointOutcome = LoadPointOutcome;
+
+/// Outcome of [`simulate_resilient_serving`]: the same type as a
+/// healthy sweep's.
+pub type ResilienceOutcome = ServingOutcome;
 
 /// Number of horizon slices in the per-chip utilization timeline.
 pub const UTIL_SLICES: usize = 4;
@@ -343,191 +370,12 @@ fn generate_stream(spec: &ServingSpec, load: f64, seed: u64) -> Vec<Request> {
     stream
 }
 
-/// Event tags, ordered so that at one instant a chip first retires its
-/// batch, then closes an expired window, then admits new arrivals —
-/// the serving analogue of "departures before arrivals".
-const TAG_COMPLETION: u64 = 0;
-const TAG_WINDOW: u64 = 1;
-const TAG_ARRIVAL: u64 = 2;
-
-fn event_key(tag: u64, id: u64) -> u64 {
-    (tag << 56) | (id & 0x00FF_FFFF_FFFF_FFFF)
-}
-
-/// Per-chip simulation result.
-#[derive(Clone, Debug)]
-struct ChipOutcome {
-    /// Completed-request latencies, in completion order.
-    latencies_ns: Vec<u64>,
-    rejected: u64,
-    batches: u64,
-    batched_requests: u64,
-    /// Busy nanoseconds per horizon slice (clipped to the horizon).
-    busy_ns: [u64; UTIL_SLICES],
-    events: u64,
-}
-
-thread_local! {
-    /// One calendar queue per worker thread, reused (via
-    /// [`CalendarQueue::clear`]) across every sweep cell that lands on
-    /// the thread.
-    static EVENT_QUEUE: RefCell<CalendarQueue> = RefCell::new(CalendarQueue::new(1024));
-}
-
-/// Simulates one chip's admission queue, batching window and service
-/// loop over its share of the request stream.
-fn simulate_chip(
-    requests: &[Request],
-    spec: &ServingSpec,
-    service_ns: &[u64],
-    horizon_ns: u64,
-) -> ChipOutcome {
-    EVENT_QUEUE.with(|q| {
-        let mut queue = q.borrow_mut();
-        queue.clear();
-        simulate_chip_with(&mut queue, requests, spec, service_ns, horizon_ns)
-    })
-}
-
-fn simulate_chip_with(
-    events: &mut CalendarQueue,
-    requests: &[Request],
-    spec: &ServingSpec,
-    service_ns: &[u64],
-    horizon_ns: u64,
-) -> ChipOutcome {
-    let window_ns = (spec.batch_window_us * 1e3).round() as u64;
-    let mut out = ChipOutcome {
-        latencies_ns: Vec::new(),
-        rejected: 0,
-        batches: 0,
-        batched_requests: 0,
-        busy_ns: [0; UTIL_SLICES],
-        events: 0,
-    };
-    for (i, r) in requests.iter().enumerate() {
-        events.push(r.arrival_ns, event_key(TAG_ARRIVAL, i as u64));
-    }
-
-    // FIFO admission queue of request indices (bounded by queue_depth).
-    let mut queue: std::collections::VecDeque<u32> = std::collections::VecDeque::new();
-    let mut busy = false;
-    // The batch currently in service (request indices).
-    let mut in_flight: Vec<u32> = Vec::new();
-    // Armed max-delay window: `Some(gen)` matches at most one pending
-    // window event; launching a batch invalidates it.
-    let mut armed: Option<u64> = None;
-    let mut window_gen = 0u64;
-    let slice_ns = horizon_ns.div_ceil(UTIL_SLICES as u64).max(1);
-
-    // Launches a batch from the queue head: up to `max_batch` queued
-    // requests of the head request's tenant, FIFO.
-    let launch = |now: u64,
-                  queue: &mut std::collections::VecDeque<u32>,
-                  in_flight: &mut Vec<u32>,
-                  armed: &mut Option<u64>,
-                  events: &mut CalendarQueue,
-                  out: &mut ChipOutcome| {
-        let head_tenant = requests[queue[0] as usize].tenant;
-        debug_assert!(in_flight.is_empty());
-        let mut kept = std::collections::VecDeque::with_capacity(queue.len());
-        for idx in queue.drain(..) {
-            if in_flight.len() < spec.max_batch && requests[idx as usize].tenant == head_tenant {
-                in_flight.push(idx);
-            } else {
-                kept.push_back(idx);
-            }
-        }
-        *queue = kept;
-        *armed = None;
-        let dur = batch_latency_ns(service_ns[head_tenant as usize], in_flight.len());
-        out.batches += 1;
-        out.batched_requests += in_flight.len() as u64;
-        // Accrue the busy interval [now, now + dur) into the horizon
-        // slices (clipped; drain past the horizon is not utilization).
-        let (mut t, end) = (now.min(horizon_ns), (now + dur).min(horizon_ns));
-        while t < end {
-            let slice = (t / slice_ns) as usize;
-            let slice_end = ((slice as u64 + 1) * slice_ns).min(end);
-            out.busy_ns[slice.min(UTIL_SLICES - 1)] += slice_end - t;
-            t = slice_end;
-        }
-        events.push(now + dur, event_key(TAG_COMPLETION, 0));
-    };
-
-    while let Some((now, key)) = events.pop() {
-        out.events += 1;
-        let (tag, id) = (key >> 56, key & 0x00FF_FFFF_FFFF_FFFF);
-        match tag {
-            TAG_COMPLETION => {
-                busy = false;
-                for idx in in_flight.drain(..) {
-                    out.latencies_ns
-                        .push(now - requests[idx as usize].arrival_ns);
-                }
-                if !queue.is_empty() {
-                    // Backlogged: the head already waited at least one
-                    // window; launch immediately (work-conserving).
-                    busy = true;
-                    launch(
-                        now,
-                        &mut queue,
-                        &mut in_flight,
-                        &mut armed,
-                        events,
-                        &mut out,
-                    );
-                }
-            }
-            TAG_WINDOW => {
-                if armed == Some(id) {
-                    armed = None;
-                    if !busy && !queue.is_empty() {
-                        busy = true;
-                        launch(
-                            now,
-                            &mut queue,
-                            &mut in_flight,
-                            &mut armed,
-                            events,
-                            &mut out,
-                        );
-                    }
-                }
-            }
-            TAG_ARRIVAL => {
-                if queue.len() >= spec.queue_depth {
-                    out.rejected += 1;
-                    continue;
-                }
-                queue.push_back(u32::try_from(id).expect("request id fits a u32"));
-                if !busy {
-                    if queue.len() >= spec.max_batch || window_ns == 0 {
-                        busy = true;
-                        launch(
-                            now,
-                            &mut queue,
-                            &mut in_flight,
-                            &mut armed,
-                            events,
-                            &mut out,
-                        );
-                    } else if armed.is_none() {
-                        window_gen += 1;
-                        armed = Some(window_gen);
-                        events.push(now + window_ns, event_key(TAG_WINDOW, window_gen));
-                    }
-                }
-            }
-            _ => unreachable!("unknown serving event tag {tag}"),
-        }
-    }
-    out
-}
-
-/// Runs the serving sweep: for every offered-load point, generates the
-/// multi-tenant stream, shards it round-robin over the fleet, and
-/// simulates every `(load, chip)` cell across `threads` workers.
+/// Runs the serving sweep on a healthy fleet: for every offered-load
+/// point, generates the multi-tenant stream, spreads it round-robin
+/// over the fleet, and simulates the load points across `threads`
+/// workers. This is [`simulate_resilient_serving`] under
+/// [`ResilienceParams::healthy`], so every fault counter of the outcome
+/// is zero.
 ///
 /// `service_ns` is the per-tenant single-request service latency
 /// (indexed like `spec.tenants`), typically derived from the PIM
@@ -543,88 +391,13 @@ pub fn simulate_serving(
     seed: u64,
     threads: usize,
 ) -> ServingOutcome {
-    assert_eq!(service_ns.len(), spec.tenants.len());
-    assert!(
-        service_ns.iter().all(|&s| s > 0),
-        "service latencies must be positive"
-    );
-    let horizon_ns = (spec.horizon_ms * 1e6).round() as u64;
-
-    // Generate every load point's stream once, single-threaded, and
-    // shard it round-robin in global arrival order.
-    let mut cells: Vec<(usize, usize, Vec<Request>)> = Vec::new();
-    let mut offered: Vec<u64> = Vec::new();
-    for (li, &load) in spec.loads.iter().enumerate() {
-        let stream = generate_stream(spec, load, seed);
-        offered.push(stream.len() as u64);
-        let mut per_chip: Vec<Vec<Request>> = vec![Vec::new(); spec.fleet];
-        for (i, r) in stream.into_iter().enumerate() {
-            per_chip[i % spec.fleet].push(r);
-        }
-        for (ci, reqs) in per_chip.into_iter().enumerate() {
-            cells.push((li, ci, reqs));
-        }
-    }
-
-    let chip_outcomes = parallel_map(&cells, threads, |(_, _, reqs)| {
-        simulate_chip(reqs, spec, service_ns, horizon_ns)
-    });
-
-    let slice_ns = horizon_ns.div_ceil(UTIL_SLICES as u64).max(1) as f64;
-    let mut per_load = Vec::with_capacity(spec.loads.len());
-    let mut total_events = 0u64;
-    for (li, &load) in spec.loads.iter().enumerate() {
-        let chips: Vec<&ChipOutcome> = cells
-            .iter()
-            .zip(&chip_outcomes)
-            .filter(|((l, _, _), _)| *l == li)
-            .map(|(_, o)| o)
-            .collect();
-        let mut latencies: Vec<u64> = chips
-            .iter()
-            .flat_map(|c| c.latencies_ns.iter().copied())
-            .collect();
-        latencies.sort_unstable();
-        let rejected: u64 = chips.iter().map(|c| c.rejected).sum();
-        let batches: u64 = chips.iter().map(|c| c.batches).sum();
-        let batched: u64 = chips.iter().map(|c| c.batched_requests).sum();
-        let events: u64 = chips.iter().map(|c| c.events).sum();
-        total_events += events;
-        let slo_ns = (spec.slo_ms * 1e6) as u64;
-        let attained = latencies.partition_point(|&l| l <= slo_ns) as u64;
-        let chip_util: Vec<Vec<f64>> = chips
-            .iter()
-            .map(|c| c.busy_ns.iter().map(|&b| b as f64 / slice_ns).collect())
-            .collect();
-        per_load.push(LoadPointOutcome {
-            load,
-            offered_rps: spec.offered_rps(load),
-            offered: offered[li],
-            completed: latencies.len() as u64,
-            rejected,
-            p50_ns: percentile_nearest_rank(&latencies, 50),
-            p95_ns: percentile_nearest_rank(&latencies, 95),
-            p99_ns: percentile_nearest_rank(&latencies, 99),
-            slo_attainment: if offered[li] == 0 {
-                1.0
-            } else {
-                attained as f64 / offered[li] as f64
-            },
-            mean_batch: if batches == 0 {
-                0.0
-            } else {
-                batched as f64 / batches as f64
-            },
-            chip_util,
-            latencies_ns: latencies,
-            events,
-        });
-    }
-    ServingOutcome {
-        requests: offered.iter().sum(),
-        per_load,
-        events: total_events,
-    }
+    simulate_resilient_serving(
+        spec,
+        &ResilienceParams::healthy(),
+        service_ns,
+        seed,
+        threads,
+    )
 }
 
 /// Nearest-rank percentile on an ascending-sorted slice.
@@ -637,7 +410,7 @@ fn percentile_nearest_rank(sorted: &[u64], pct: u64) -> u64 {
 }
 
 // ---------------------------------------------------------------------------
-// Resilient serving: the fleet loop under a fault plan
+// The fleet loop, healthy or under a fault plan
 // ---------------------------------------------------------------------------
 
 /// How the fleet reacts to a [`FaultPlan`]: the retry/backoff/timeout
@@ -662,9 +435,8 @@ pub struct ResilienceParams {
 }
 
 impl ResilienceParams {
-    /// A healthy fleet: no faults, no shedding, no throttling. With
-    /// these parameters [`simulate_resilient_serving`] is observably
-    /// identical to [`simulate_serving`].
+    /// A healthy fleet: no faults, no shedding, no throttling. These are
+    /// the parameters [`simulate_serving`] runs the fleet loop with.
     pub fn healthy() -> ResilienceParams {
         ResilienceParams {
             plan: FaultPlan::empty(),
@@ -688,63 +460,10 @@ impl ResilienceParams {
     }
 }
 
-/// Serving statistics of one offered-load point under faults.
-#[derive(Clone, Debug, PartialEq, Serialize)]
-pub struct ResiliencePointOutcome {
-    /// The load multiplier of this point.
-    pub load: f64,
-    /// Offered aggregate request rate, req/s.
-    pub offered_rps: f64,
-    /// Requests generated over the horizon.
-    pub offered: u64,
-    /// Requests completed (admitted, possibly after retries, and served).
-    pub completed: u64,
-    /// Requests turned away by a full admission queue (at first arrival,
-    /// or when a failed chip's queue failed over into full survivors).
-    pub rejected: u64,
-    /// Requests dropped after exhausting retries or their deadline.
-    pub timed_out: u64,
-    /// Retry dispatches (a request lost twice retries twice).
-    pub retries: u64,
-    /// Requests steered away from their home chip (down at arrival, or
-    /// drained from a failing chip's queue).
-    pub failovers: u64,
-    /// Rejections attributable to degraded-mode shedding: the request
-    /// would have fit the healthy queue depth.
-    pub shed: u64,
-    /// Median end-to-end latency (from original arrival), ns.
-    pub p50_ns: u64,
-    /// 95th-percentile end-to-end latency, ns.
-    pub p95_ns: u64,
-    /// 99th-percentile end-to-end latency, ns.
-    pub p99_ns: u64,
-    /// Fraction of *offered* requests served within the SLO (rejections
-    /// and timeouts count as misses).
-    pub slo_attainment: f64,
-    /// Mean requests per launched batch.
-    pub mean_batch: f64,
-    /// Every completed request's latency, ns, ascending.
-    pub latencies_ns: Vec<u64>,
-    /// Calendar-queue events processed (including fault events).
-    pub events: u64,
-}
-
-/// Outcome of a resilient serving sweep, one point per offered load.
-#[derive(Clone, Debug, PartialEq, Serialize)]
-pub struct ResilienceOutcome {
-    /// Per-load-point statistics, in `spec.loads` order.
-    pub per_load: Vec<ResiliencePointOutcome>,
-    /// Total calendar-queue events processed.
-    pub events: u64,
-    /// Total requests generated.
-    pub requests: u64,
-}
-
 /// Fleet event tags, ordered so that at one instant a chip first
 /// retires its batch, repaired chips come back, windows close, new
 /// arrivals and retries are admitted, and chip failures strike last —
-/// the per-chip `completion < window < arrival` order is preserved, so
-/// an empty fault plan replays [`simulate_serving`] exactly.
+/// the serving analogue of "departures before arrivals".
 const FTAG_COMPLETION: u64 = 0;
 const FTAG_CHIP_UP: u64 = 1;
 const FTAG_WINDOW: u64 = 2;
@@ -753,8 +472,7 @@ const FTAG_RETRY: u64 = 4;
 const FTAG_CHIP_DOWN: u64 = 5;
 
 /// Fleet event key: tag (8 bits) | chip (16 bits) | id (40 bits). Ties
-/// at one instant order by tag, then chip, then id — within a chip the
-/// same order as the per-chip loop's [`event_key`].
+/// at one instant order by tag, then chip, then id.
 fn fleet_key(tag: u64, chip: usize, id: u64) -> u64 {
     (tag << 56) | ((chip as u64) << 40) | (id & 0xFF_FFFF_FFFF)
 }
@@ -779,39 +497,8 @@ struct ChipState {
     blocked_until: u64,
     batches: u64,
     batched_requests: u64,
-}
-
-/// Reusable per-thread scratch of the resilient fleet loop: the bucket
-/// calendar plus the per-request retry counters, recycled across every
-/// load point that lands on the worker thread.
-// pim-lint: scratch
-#[derive(Debug)]
-struct FaultScratch {
-    /// Fleet-wide event calendar.
-    events: CalendarQueue,
-    /// Retry attempts per request, indexed by global request id.
-    attempts: Vec<u32>,
-}
-
-impl FaultScratch {
-    fn new() -> FaultScratch {
-        FaultScratch {
-            events: CalendarQueue::new(1024),
-            attempts: Vec::new(),
-        }
-    }
-
-    /// Clears both fields for a fresh run over `n` requests.
-    fn reset(&mut self, n: usize) {
-        self.events.clear();
-        self.attempts.clear();
-        self.attempts.resize(n, 0);
-    }
-}
-
-thread_local! {
-    /// One [`FaultScratch`] per worker thread, reused across sweep cells.
-    static FAULT_SCRATCH: RefCell<FaultScratch> = RefCell::new(FaultScratch::new());
+    /// Busy nanoseconds per horizon slice (clipped to the horizon).
+    busy_ns: [u64; UTIL_SLICES],
 }
 
 /// One load point's fleet simulation: every chip shares one calendar so
@@ -823,12 +510,17 @@ struct FleetSim<'a> {
     service_ns: &'a [u64],
     requests: &'a [Request],
     window_ns: u64,
+    /// Horizon the utilization slices cover, ns.
+    horizon_ns: u64,
+    /// Width of one utilization slice, ns.
+    slice_ns: u64,
     chips: Vec<ChipState>,
     /// Per-chip thermal throttle windows, ascending and disjoint.
     throttles: Vec<Vec<(u64, u64)>>,
     /// Chips currently down (degraded mode while > 0).
     down_count: usize,
-    attempts: &'a mut [u32],
+    /// Retry attempts per request, indexed by global request id.
+    attempts: Vec<u32>,
     latencies: Vec<u64>,
     rejected: u64,
     timed_out: u64,
@@ -867,9 +559,9 @@ impl FleetSim<'_> {
     }
 
     /// Launches a batch from `chip`'s queue head: up to `max_batch`
-    /// queued requests of the head request's tenant, FIFO — the same
-    /// policy as the per-chip loop, plus the re-mapping stall and the
-    /// throttle slowdown.
+    /// queued requests of the head request's tenant, FIFO. The batch
+    /// starts after any re-mapping stall and runs slower inside a
+    /// throttle window.
     fn launch(&mut self, events: &mut CalendarQueue, chip: usize, now: u64) {
         let throttle = self.throttled(chip, now.max(self.chips[chip].blocked_until));
         let st = &mut self.chips[chip];
@@ -894,12 +586,25 @@ impl FleetSim<'_> {
         }
         st.batches += 1;
         st.batched_requests += st.in_flight.len() as u64;
+        // Accrue the busy interval [start, start + dur) into the horizon
+        // slices (clipped; drain past the horizon is not utilization).
+        let (mut t, end) = (
+            start.min(self.horizon_ns),
+            (start + dur).min(self.horizon_ns),
+        );
+        while t < end {
+            let slice = (t / self.slice_ns) as usize;
+            let slice_end = ((slice as u64 + 1) * self.slice_ns).min(end);
+            st.busy_ns[slice.min(UTIL_SLICES - 1)] += slice_end - t;
+            t = slice_end;
+        }
         events.push(start + dur, fleet_key(FTAG_COMPLETION, chip, st.comp_gen));
     }
 
-    /// Admits request `idx` to `target`'s queue (launching or arming the
-    /// batching window exactly as the per-chip loop does). `false` when
-    /// the queue is full at the current effective depth.
+    /// Admits request `idx` to `target`'s queue, launching a batch once
+    /// `max_batch` requests wait (or at once with a zero window) and
+    /// otherwise arming the batching window. `false` when the queue is
+    /// full at the current effective depth.
     fn admit(&mut self, events: &mut CalendarQueue, target: usize, idx: u64, now: u64) -> bool {
         if self.chips[target].queue.len() >= self.effective_depth() {
             return false;
@@ -961,17 +666,17 @@ impl FleetSim<'_> {
             let id = key & 0xFF_FFFF_FFFF;
             match tag {
                 FTAG_COMPLETION => {
-                    if !self.chips[chip].up || id != self.chips[chip].comp_gen {
+                    let st = &mut self.chips[chip];
+                    if !st.up || id != st.comp_gen {
                         continue; // the chip failed after this batch launched
                     }
-                    self.chips[chip].busy = false;
-                    let done: Vec<u64> = self.chips[chip].in_flight.drain(..).collect();
-                    for idx in done {
+                    st.busy = false;
+                    for idx in st.in_flight.drain(..) {
                         self.latencies
                             .push(now - self.requests[idx as usize].arrival_ns);
                     }
-                    if !self.chips[chip].queue.is_empty() {
-                        self.chips[chip].busy = true;
+                    if !st.queue.is_empty() {
+                        st.busy = true;
                         self.launch(events, chip, now);
                     }
                 }
@@ -991,11 +696,16 @@ impl FleetSim<'_> {
                     }
                 }
                 FTAG_ARRIVAL => {
-                    let home = (id as usize) % self.chips.len();
-                    match self.route(home) {
+                    // Each chip keeps only its next arrival on the
+                    // calendar: feed the request after this one.
+                    let next = id as usize + self.chips.len();
+                    if let Some(r) = self.requests.get(next) {
+                        events.push(r.arrival_ns, fleet_key(FTAG_ARRIVAL, chip, next as u64));
+                    }
+                    match self.route(chip) {
                         None => self.retry_or_timeout(events, id, now),
                         Some(t) => {
-                            if t != home {
+                            if t != chip {
                                 self.failovers += 1;
                             }
                             if !self.admit(events, t, id, now) {
@@ -1069,38 +779,41 @@ impl FleetSim<'_> {
 /// Runs the serving sweep under a fault plan: for every offered-load
 /// point the whole fleet shares one calendar, so chip failures and
 /// repairs, bounded-backoff retries, failovers, degraded-mode shedding
-/// and re-mapping stalls replay in one deterministic order.
+/// and re-mapping stalls replay in one deterministic order. Load points
+/// are the parallel unit: each simulates on its own calendar, spread
+/// over `threads` workers, and results are bit-identical for any
+/// `threads`.
 ///
-/// With [`ResilienceParams::healthy`] this is observably identical to
-/// [`simulate_serving`] (same streams, same per-chip policy, same
-/// counters) — pinned by a unit test and the `resilience` golden's
-/// zero-fault row.
+/// With [`ResilienceParams::healthy`] this is [`simulate_serving`].
 ///
-/// Request accounting is conservative by construction and checked in
-/// debug builds: `offered == completed + rejected + timed_out` at every
+/// Request accounting is conservative by construction and asserted in
+/// every build: `offered == completed + rejected + timed_out` at every
 /// load point.
 ///
 /// # Panics
 ///
 /// Panics when `service_ns.len() != spec.tenants.len()` or when a
-/// service latency is zero (the spec should be validated first).
+/// service latency is zero (the spec should be validated first), and
+/// when a load point breaks request conservation.
 pub fn simulate_resilient_serving(
     spec: &ServingSpec,
     params: &ResilienceParams,
     service_ns: &[u64],
     seed: u64,
     threads: usize,
-) -> ResilienceOutcome {
+) -> ServingOutcome {
     assert_eq!(service_ns.len(), spec.tenants.len());
     assert!(
         service_ns.iter().all(|&s| s > 0),
         "service latencies must be positive"
     );
     let window_ns = (spec.batch_window_us * 1e3).round() as u64;
+    let horizon_ns = (spec.horizon_ms * 1e6).round() as u64;
+    let slice_ns = horizon_ns.div_ceil(UTIL_SLICES as u64).max(1);
     let slo_ns = (spec.slo_ms * 1e6) as u64;
 
-    // Streams are generated once, single-threaded, with the same seeds
-    // as `simulate_serving`; load points then simulate independently.
+    // Streams are generated once, single-threaded; load points then
+    // simulate independently.
     let streams: Vec<(f64, Vec<Request>)> = spec
         .loads
         .iter()
@@ -1108,100 +821,108 @@ pub fn simulate_resilient_serving(
         .collect();
 
     let per_load = parallel_map(&streams, threads, |(load, requests)| {
-        FAULT_SCRATCH.with(|s| {
-            let scratch = &mut *s.borrow_mut();
-            scratch.reset(requests.len());
-            let mut chips = vec![ChipState::default(); spec.fleet];
-            for c in &mut chips {
-                c.up = true;
-            }
-            let mut throttles = vec![Vec::new(); spec.fleet];
-            if params.throttle_slowdown > 1.0 {
-                for w in &params.plan.throttles {
-                    if (w.chip as usize) < spec.fleet {
-                        throttles[w.chip as usize].push((w.start_ns, w.end_ns));
-                    }
+        let mut throttles = vec![Vec::new(); spec.fleet];
+        if params.throttle_slowdown > 1.0 {
+            for w in &params.plan.throttles {
+                if (w.chip as usize) < spec.fleet {
+                    throttles[w.chip as usize].push((w.start_ns, w.end_ns));
                 }
             }
-            let events = &mut scratch.events;
-            for (i, r) in requests.iter().enumerate() {
+        }
+        let mut events = CalendarQueue::new(1024);
+        // Request `i` is routed to chip `i % fleet`; the arrival handler
+        // feeds each chip's following requests.
+        for (i, r) in requests.iter().enumerate().take(spec.fleet) {
+            events.push(r.arrival_ns, fleet_key(FTAG_ARRIVAL, i, i as u64));
+        }
+        for (k, cf) in params.plan.chip_faults.iter().enumerate() {
+            if (cf.chip as usize) < spec.fleet {
                 events.push(
-                    r.arrival_ns,
-                    fleet_key(FTAG_ARRIVAL, i % spec.fleet, i as u64),
+                    cf.down_ns,
+                    fleet_key(FTAG_CHIP_DOWN, cf.chip as usize, k as u64),
+                );
+                events.push(
+                    cf.up_ns,
+                    fleet_key(FTAG_CHIP_UP, cf.chip as usize, k as u64),
                 );
             }
-            for (k, cf) in params.plan.chip_faults.iter().enumerate() {
-                if (cf.chip as usize) < spec.fleet {
-                    events.push(
-                        cf.down_ns,
-                        fleet_key(FTAG_CHIP_DOWN, cf.chip as usize, k as u64),
-                    );
-                    events.push(
-                        cf.up_ns,
-                        fleet_key(FTAG_CHIP_UP, cf.chip as usize, k as u64),
-                    );
-                }
-            }
-            let mut sim = FleetSim {
-                spec,
-                params,
-                service_ns,
-                requests,
-                window_ns,
-                chips,
-                throttles,
-                down_count: 0,
-                attempts: &mut scratch.attempts,
-                latencies: Vec::new(),
-                rejected: 0,
-                timed_out: 0,
-                retries: 0,
-                failovers: 0,
-                shed: 0,
-                event_count: 0,
-            };
-            sim.run(events);
+        }
+        let up = ChipState {
+            up: true,
+            ..ChipState::default()
+        };
+        let mut sim = FleetSim {
+            spec,
+            params,
+            service_ns,
+            requests,
+            window_ns,
+            horizon_ns,
+            slice_ns,
+            chips: vec![up; spec.fleet],
+            throttles,
+            down_count: 0,
+            attempts: vec![0; requests.len()],
+            latencies: Vec::new(),
+            rejected: 0,
+            timed_out: 0,
+            retries: 0,
+            failovers: 0,
+            shed: 0,
+            event_count: 0,
+        };
+        sim.run(&mut events);
 
-            let offered = requests.len() as u64;
-            debug_assert_eq!(
-                offered,
-                sim.latencies.len() as u64 + sim.rejected + sim.timed_out,
-                "request conservation: injected = completed + rejected + timed out"
-            );
-            sim.latencies.sort_unstable();
-            let attained = sim.latencies.partition_point(|&l| l <= slo_ns) as u64;
-            let batches: u64 = sim.chips.iter().map(|c| c.batches).sum();
-            let batched: u64 = sim.chips.iter().map(|c| c.batched_requests).sum();
-            ResiliencePointOutcome {
-                load: *load,
-                offered_rps: spec.offered_rps(*load),
-                offered,
-                completed: sim.latencies.len() as u64,
-                rejected: sim.rejected,
-                timed_out: sim.timed_out,
-                retries: sim.retries,
-                failovers: sim.failovers,
-                shed: sim.shed,
-                p50_ns: percentile_nearest_rank(&sim.latencies, 50),
-                p95_ns: percentile_nearest_rank(&sim.latencies, 95),
-                p99_ns: percentile_nearest_rank(&sim.latencies, 99),
-                slo_attainment: if offered == 0 {
-                    1.0
-                } else {
-                    attained as f64 / offered as f64
-                },
-                mean_batch: if batches == 0 {
-                    0.0
-                } else {
-                    batched as f64 / batches as f64
-                },
-                latencies_ns: sim.latencies,
-                events: sim.event_count,
-            }
-        })
+        let offered = requests.len() as u64;
+        assert_eq!(
+            offered,
+            sim.latencies.len() as u64 + sim.rejected + sim.timed_out,
+            "request conservation at load {load}: offered = completed + rejected + timed out"
+        );
+        sim.latencies.sort_unstable();
+        let attained = sim.latencies.partition_point(|&l| l <= slo_ns) as u64;
+        let batches: u64 = sim.chips.iter().map(|c| c.batches).sum();
+        let batched: u64 = sim.chips.iter().map(|c| c.batched_requests).sum();
+        let chip_util = sim
+            .chips
+            .iter()
+            .map(|c| {
+                c.busy_ns
+                    .iter()
+                    .map(|&b| b as f64 / slice_ns as f64)
+                    .collect()
+            })
+            .collect();
+        LoadPointOutcome {
+            load: *load,
+            offered_rps: spec.offered_rps(*load),
+            offered,
+            completed: sim.latencies.len() as u64,
+            rejected: sim.rejected,
+            timed_out: sim.timed_out,
+            retries: sim.retries,
+            failovers: sim.failovers,
+            shed: sim.shed,
+            p50_ns: percentile_nearest_rank(&sim.latencies, 50),
+            p95_ns: percentile_nearest_rank(&sim.latencies, 95),
+            p99_ns: percentile_nearest_rank(&sim.latencies, 99),
+            slo_attainment: if offered == 0 {
+                1.0
+            } else {
+                attained as f64 / offered as f64
+            },
+            mean_batch: if batches == 0 {
+                0.0
+            } else {
+                batched as f64 / batches as f64
+            },
+            chip_util,
+            latencies_ns: sim.latencies,
+            events: sim.event_count,
+        }
     });
 
-    ResilienceOutcome {
+    ServingOutcome {
         requests: per_load.iter().map(|l| l.offered).sum(),
         events: per_load.iter().map(|l| l.events).sum(),
         per_load,
@@ -1211,6 +932,7 @@ pub fn simulate_resilient_serving(
 #[cfg(test)]
 mod tests {
     use super::*;
+    use proptest::prelude::*;
 
     fn spec() -> ServingSpec {
         ServingSpec::default()
@@ -1444,6 +1166,318 @@ mod tests {
         assert!(four > base);
     }
 
+    // -- the per-chip reference -------------------------------------------
+
+    // The healthy per-chip loop the fleet loop replaced, kept as the
+    // differential oracle of `healthy_fleet_loop_matches_the_per_chip_reference`:
+    // each chip simulates its round-robin shard alone, with every arrival
+    // queued up front.
+
+    /// Event tags, ordered so that at one instant a chip first retires its
+    /// batch, then closes an expired window, then admits new arrivals —
+    /// the serving analogue of "departures before arrivals".
+    const TAG_COMPLETION: u64 = 0;
+    const TAG_WINDOW: u64 = 1;
+    const TAG_ARRIVAL: u64 = 2;
+
+    fn event_key(tag: u64, id: u64) -> u64 {
+        (tag << 56) | (id & 0x00FF_FFFF_FFFF_FFFF)
+    }
+
+    /// Per-chip simulation result.
+    #[derive(Clone, Debug)]
+    struct ChipOutcome {
+        /// Completed-request latencies, in completion order.
+        latencies_ns: Vec<u64>,
+        rejected: u64,
+        batches: u64,
+        batched_requests: u64,
+        /// Busy nanoseconds per horizon slice (clipped to the horizon).
+        busy_ns: [u64; UTIL_SLICES],
+        events: u64,
+    }
+
+    fn simulate_chip_with(
+        events: &mut CalendarQueue,
+        requests: &[Request],
+        spec: &ServingSpec,
+        service_ns: &[u64],
+        horizon_ns: u64,
+    ) -> ChipOutcome {
+        let window_ns = (spec.batch_window_us * 1e3).round() as u64;
+        let mut out = ChipOutcome {
+            latencies_ns: Vec::new(),
+            rejected: 0,
+            batches: 0,
+            batched_requests: 0,
+            busy_ns: [0; UTIL_SLICES],
+            events: 0,
+        };
+        for (i, r) in requests.iter().enumerate() {
+            events.push(r.arrival_ns, event_key(TAG_ARRIVAL, i as u64));
+        }
+
+        // FIFO admission queue of request indices (bounded by queue_depth).
+        let mut queue: std::collections::VecDeque<u32> = std::collections::VecDeque::new();
+        let mut busy = false;
+        // The batch currently in service (request indices).
+        let mut in_flight: Vec<u32> = Vec::new();
+        // Armed max-delay window: `Some(gen)` matches at most one pending
+        // window event; launching a batch invalidates it.
+        let mut armed: Option<u64> = None;
+        let mut window_gen = 0u64;
+        let slice_ns = horizon_ns.div_ceil(UTIL_SLICES as u64).max(1);
+
+        // Launches a batch from the queue head: up to `max_batch` queued
+        // requests of the head request's tenant, FIFO.
+        let launch = |now: u64,
+                      queue: &mut std::collections::VecDeque<u32>,
+                      in_flight: &mut Vec<u32>,
+                      armed: &mut Option<u64>,
+                      events: &mut CalendarQueue,
+                      out: &mut ChipOutcome| {
+            let head_tenant = requests[queue[0] as usize].tenant;
+            debug_assert!(in_flight.is_empty());
+            let mut kept = std::collections::VecDeque::with_capacity(queue.len());
+            for idx in queue.drain(..) {
+                if in_flight.len() < spec.max_batch && requests[idx as usize].tenant == head_tenant
+                {
+                    in_flight.push(idx);
+                } else {
+                    kept.push_back(idx);
+                }
+            }
+            *queue = kept;
+            *armed = None;
+            let dur = batch_latency_ns(service_ns[head_tenant as usize], in_flight.len());
+            out.batches += 1;
+            out.batched_requests += in_flight.len() as u64;
+            // Accrue the busy interval [now, now + dur) into the horizon
+            // slices (clipped; drain past the horizon is not utilization).
+            let (mut t, end) = (now.min(horizon_ns), (now + dur).min(horizon_ns));
+            while t < end {
+                let slice = (t / slice_ns) as usize;
+                let slice_end = ((slice as u64 + 1) * slice_ns).min(end);
+                out.busy_ns[slice.min(UTIL_SLICES - 1)] += slice_end - t;
+                t = slice_end;
+            }
+            events.push(now + dur, event_key(TAG_COMPLETION, 0));
+        };
+
+        while let Some((now, key)) = events.pop() {
+            out.events += 1;
+            let (tag, id) = (key >> 56, key & 0x00FF_FFFF_FFFF_FFFF);
+            match tag {
+                TAG_COMPLETION => {
+                    busy = false;
+                    for idx in in_flight.drain(..) {
+                        out.latencies_ns
+                            .push(now - requests[idx as usize].arrival_ns);
+                    }
+                    if !queue.is_empty() {
+                        // Backlogged: the head already waited at least one
+                        // window; launch immediately (work-conserving).
+                        busy = true;
+                        launch(
+                            now,
+                            &mut queue,
+                            &mut in_flight,
+                            &mut armed,
+                            events,
+                            &mut out,
+                        );
+                    }
+                }
+                TAG_WINDOW => {
+                    if armed == Some(id) {
+                        armed = None;
+                        if !busy && !queue.is_empty() {
+                            busy = true;
+                            launch(
+                                now,
+                                &mut queue,
+                                &mut in_flight,
+                                &mut armed,
+                                events,
+                                &mut out,
+                            );
+                        }
+                    }
+                }
+                TAG_ARRIVAL => {
+                    if queue.len() >= spec.queue_depth {
+                        out.rejected += 1;
+                        continue;
+                    }
+                    queue.push_back(u32::try_from(id).expect("request id fits a u32"));
+                    if !busy {
+                        if queue.len() >= spec.max_batch || window_ns == 0 {
+                            busy = true;
+                            launch(
+                                now,
+                                &mut queue,
+                                &mut in_flight,
+                                &mut armed,
+                                events,
+                                &mut out,
+                            );
+                        } else if armed.is_none() {
+                            window_gen += 1;
+                            armed = Some(window_gen);
+                            events.push(now + window_ns, event_key(TAG_WINDOW, window_gen));
+                        }
+                    }
+                }
+                _ => unreachable!("unknown serving event tag {tag}"),
+            }
+        }
+        out
+    }
+
+    /// The healthy per-chip reference: shards every load point's stream
+    /// round-robin over the fleet, simulates every `(load, chip)` cell on
+    /// a fresh calendar across `threads` workers, and merges the cells in
+    /// `(load, chip)` order.
+    fn reference_serving(
+        spec: &ServingSpec,
+        service_ns: &[u64],
+        seed: u64,
+        threads: usize,
+    ) -> ServingOutcome {
+        assert_eq!(service_ns.len(), spec.tenants.len());
+        assert!(
+            service_ns.iter().all(|&s| s > 0),
+            "service latencies must be positive"
+        );
+        let horizon_ns = (spec.horizon_ms * 1e6).round() as u64;
+
+        // Generate every load point's stream once, single-threaded, and
+        // shard it round-robin in global arrival order.
+        let mut cells: Vec<(usize, usize, Vec<Request>)> = Vec::new();
+        let mut offered: Vec<u64> = Vec::new();
+        for (li, &load) in spec.loads.iter().enumerate() {
+            let stream = generate_stream(spec, load, seed);
+            offered.push(stream.len() as u64);
+            let mut per_chip: Vec<Vec<Request>> = vec![Vec::new(); spec.fleet];
+            for (i, r) in stream.into_iter().enumerate() {
+                per_chip[i % spec.fleet].push(r);
+            }
+            for (ci, reqs) in per_chip.into_iter().enumerate() {
+                cells.push((li, ci, reqs));
+            }
+        }
+
+        let chip_outcomes = parallel_map(&cells, threads, |(_, _, reqs)| {
+            let mut events = CalendarQueue::new(1024);
+            simulate_chip_with(&mut events, reqs, spec, service_ns, horizon_ns)
+        });
+
+        let slice_ns = horizon_ns.div_ceil(UTIL_SLICES as u64).max(1) as f64;
+        let mut per_load = Vec::with_capacity(spec.loads.len());
+        let mut total_events = 0u64;
+        for (li, &load) in spec.loads.iter().enumerate() {
+            let chips: Vec<&ChipOutcome> = cells
+                .iter()
+                .zip(&chip_outcomes)
+                .filter(|((l, _, _), _)| *l == li)
+                .map(|(_, o)| o)
+                .collect();
+            let mut latencies: Vec<u64> = chips
+                .iter()
+                .flat_map(|c| c.latencies_ns.iter().copied())
+                .collect();
+            latencies.sort_unstable();
+            let rejected: u64 = chips.iter().map(|c| c.rejected).sum();
+            let batches: u64 = chips.iter().map(|c| c.batches).sum();
+            let batched: u64 = chips.iter().map(|c| c.batched_requests).sum();
+            let events: u64 = chips.iter().map(|c| c.events).sum();
+            total_events += events;
+            let slo_ns = (spec.slo_ms * 1e6) as u64;
+            let attained = latencies.partition_point(|&l| l <= slo_ns) as u64;
+            let chip_util: Vec<Vec<f64>> = chips
+                .iter()
+                .map(|c| c.busy_ns.iter().map(|&b| b as f64 / slice_ns).collect())
+                .collect();
+            per_load.push(LoadPointOutcome {
+                load,
+                offered_rps: spec.offered_rps(load),
+                offered: offered[li],
+                completed: latencies.len() as u64,
+                rejected,
+                timed_out: 0,
+                retries: 0,
+                failovers: 0,
+                shed: 0,
+                p50_ns: percentile_nearest_rank(&latencies, 50),
+                p95_ns: percentile_nearest_rank(&latencies, 95),
+                p99_ns: percentile_nearest_rank(&latencies, 99),
+                slo_attainment: if offered[li] == 0 {
+                    1.0
+                } else {
+                    attained as f64 / offered[li] as f64
+                },
+                mean_batch: if batches == 0 {
+                    0.0
+                } else {
+                    batched as f64 / batches as f64
+                },
+                chip_util,
+                latencies_ns: latencies,
+                events,
+            });
+        }
+        ServingOutcome {
+            requests: offered.iter().sum(),
+            per_load,
+            events: total_events,
+        }
+    }
+
+    /// Batching windows the differential test draws from, µs.
+    const WINDOWS_US: [f64; 3] = [0.0, 40.0, 150.0];
+
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(64))]
+
+        /// On a healthy fleet the fleet loop replays the per-chip
+        /// reference exactly: the whole outcome, latencies, per-chip
+        /// utilization and event counts included, with every fault
+        /// counter zero, at any thread count.
+        #[test]
+        fn healthy_fleet_loop_matches_the_per_chip_reference(
+            fleet in 1usize..=9,
+            window in 0usize..3,
+            max_batch in 1usize..=6,
+            queue_depth in 1usize..=16,
+            loads in prop::collection::vec(0.05f64..6.0, 1..3),
+            seed in any::<u64>(),
+        ) {
+            let s = ServingSpec {
+                fleet,
+                batch_window_us: WINDOWS_US[window],
+                max_batch,
+                queue_depth,
+                loads,
+                ..spec()
+            };
+            let want = reference_serving(&s, &service(), seed, 1);
+            for threads in [1, 3] {
+                prop_assert_eq!(
+                    simulate_serving(&s, &service(), seed, threads),
+                    want.clone(),
+                    "fleet {} window {} max_batch {} depth {} loads {:?} seed {} threads {}",
+                    fleet,
+                    s.batch_window_us,
+                    max_batch,
+                    queue_depth,
+                    s.loads,
+                    seed,
+                    threads
+                );
+            }
+        }
+    }
+
     // -- resilience -------------------------------------------------------
 
     /// A plan with a couple of mid-horizon outages on chip 0 plus link
@@ -1475,33 +1509,6 @@ mod tests {
             remap_penalty_ns: 50_000,
             throttle_slowdown: 1.5,
         }
-    }
-
-    #[test]
-    fn healthy_fleet_loop_replays_simulate_serving_exactly() {
-        let s = spec();
-        let svc = service();
-        let base = simulate_serving(&s, &svc, 7, 2);
-        let res = simulate_resilient_serving(&s, &ResilienceParams::healthy(), &svc, 7, 2);
-        assert_eq!(base.per_load.len(), res.per_load.len());
-        for (b, r) in base.per_load.iter().zip(&res.per_load) {
-            assert_eq!(b.load, r.load);
-            assert_eq!(b.offered_rps, r.offered_rps);
-            assert_eq!(b.offered, r.offered);
-            assert_eq!(b.completed, r.completed);
-            assert_eq!(b.rejected, r.rejected);
-            assert_eq!(r.timed_out, 0);
-            assert_eq!(r.retries, 0);
-            assert_eq!(r.failovers, 0);
-            assert_eq!(r.shed, 0);
-            assert_eq!(b.latencies_ns, r.latencies_ns);
-            assert_eq!(b.p50_ns, r.p50_ns);
-            assert_eq!(b.p95_ns, r.p95_ns);
-            assert_eq!(b.p99_ns, r.p99_ns);
-            assert_eq!(b.slo_attainment, r.slo_attainment);
-            assert_eq!(b.mean_batch, r.mean_batch);
-        }
-        assert_eq!(base.requests, res.requests);
     }
 
     #[test]
@@ -1590,5 +1597,74 @@ mod tests {
         p.shed_fraction = 0.75;
         let out = simulate_resilient_serving(&s, &p, &service(), 5, 1);
         assert!(out.per_load[0].shed > 0, "no shed rejections in overload");
+    }
+
+    /// FNV-1a over the little-endian bytes of `values`.
+    fn fnv1a(values: &[u64]) -> u64 {
+        values
+            .iter()
+            .flat_map(|v| v.to_le_bytes())
+            .fold(0xCBF2_9CE4_8422_2325, |h, b| {
+                (h ^ u64::from(b)).wrapping_mul(0x0100_0000_01B3)
+            })
+    }
+
+    /// The fault path of larger fleets under twice the default fault
+    /// climate, pinned per load point as `[completed, rejected,
+    /// timed_out, retries, failovers, shed, events, p99_ns, latency
+    /// digest]`. The `resilience` golden covers one 2-chip fleet at one
+    /// seed; this also pins how retries, failovers and shedding
+    /// interleave with arrivals across 3, 5 and 8 chips.
+    #[test]
+    fn fault_path_is_pinned_across_fleets_and_seeds() {
+        #[rustfmt::skip]
+        const PINNED: [(usize, u64, [[u64; 9]; 2]); 6] = [
+            (3, 11, [[185, 0, 0, 3, 19, 0, 452, 1498067, 1732982281958110767],
+                     [538, 77, 1, 13, 86, 76, 1015, 3197107, 15791400649931635953]]),
+            (3, 29, [[186, 0, 0, 3, 14, 0, 453, 1300228, 143882061948137703],
+                     [556, 32, 0, 3, 43, 31, 994, 2807445, 11854848609380853800]]),
+            (5, 11, [[365, 0, 0, 3, 50, 0, 890, 2038742, 11414917697685982219],
+                     [913, 111, 0, 17, 164, 111, 1683, 2810462, 11911980283883263644]]),
+            (5, 29, [[337, 0, 0, 0, 49, 0, 811, 1555759, 2654700541963292309],
+                     [893, 92, 0, 7, 150, 92, 1632, 2971142, 17349679761922854237]]),
+            (8, 11, [[533, 7, 0, 16, 149, 7, 1301, 2694122, 15857923730949098797],
+                     [1315, 375, 1, 57, 507, 373, 2645, 3715060, 10534564269808866990]]),
+            (8, 29, [[557, 0, 0, 9, 89, 0, 1411, 1560875, 4315233881564435559],
+                     [1487, 156, 0, 24, 267, 155, 2733, 3012088, 17836678702564136472]]),
+        ];
+        let fspec = FaultSpec::default().scaled(2.0);
+        for &(fleet, seed, want) in &PINNED {
+            // Per-chip offered load stays that of the default 2-chip
+            // fleet, at one moderate and one overloading point.
+            let mut s = spec();
+            s.fleet = fleet;
+            s.loads = vec![1.4, 4.0];
+            for t in &mut s.tenants {
+                t.rate_rps *= fleet as f64 / 2.0;
+            }
+            let horizon_ns = (s.horizon_ms * 1e6).round() as u64;
+            let plan = FaultPlan::generate(&fspec, fleet, 64, horizon_ns, seed ^ 0xFA17);
+            let mut p = ResilienceParams::from_spec(&fspec, plan, 50_000);
+            p.shed_fraction = 0.25;
+            let out = simulate_resilient_serving(&s, &p, &service(), seed, 2);
+            let got: Vec<[u64; 9]> = out
+                .per_load
+                .iter()
+                .map(|lp| {
+                    [
+                        lp.completed,
+                        lp.rejected,
+                        lp.timed_out,
+                        lp.retries,
+                        lp.failovers,
+                        lp.shed,
+                        lp.events,
+                        lp.p99_ns,
+                        fnv1a(&lp.latencies_ns),
+                    ]
+                })
+                .collect();
+            assert_eq!(got, want, "fleet {fleet}, seed {seed}");
+        }
     }
 }
