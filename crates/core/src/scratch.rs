@@ -31,7 +31,7 @@ pub(crate) const NO_SLOT: u32 = u32::MAX;
 
 /// Reusable buffers for one cell evaluation (see the module docs).
 pub struct SweepScratch {
-    /// DES arena: packet SoA, wait queues, calendar, report buffers.
+    /// DES arena: packet SoA, wait queues, event heap, report buffers.
     pub(crate) sim: SimScratch,
     /// Transfer expansion output of one task.
     pub(crate) transfers: Vec<Transfer>,

@@ -3,10 +3,13 @@
 //! same total order as a binary min-heap — but with O(1) amortized
 //! push/pop when event times are spread across the calendar.
 //!
-//! The queue is the event backbone shared by the packet-level DES
-//! ([`crate::simulate`]) and the long-horizon serving simulator in
-//! `pim_core`: both need millions of events per run, where the
-//! `O(log n)` heap discipline and its per-event comparisons dominate.
+//! The queue is the event backbone of the long-horizon serving fleet
+//! loop in `pim_core`. The reference loop of the packet DES's
+//! differential test (`tests/des_equivalence.rs`) also runs on it, so
+//! that test cross-checks the DES's binary heap against an independent
+//! exact queue. The DES itself keeps the heap: its few hundred live
+//! events crowd into a few buckets, so every pop would min-scan dozens
+//! of them.
 //! Events are stored as plain `(u64, u64)` pairs in flat per-bucket
 //! arenas (no per-event allocation), and [`CalendarQueue::clear`] keeps
 //! the bucket capacity so one queue can be reused across sweep cells.

@@ -12,12 +12,18 @@
 //! busy channel is parked once in that channel's FIFO queue and woken by
 //! a single channel-release event — there is no retry polling, so every
 //! packet costs one scheduler event per hop (plus its delivery event) and
-//! one wake per contended acquisition. Events are dispatched by a
-//! bucketed [`CalendarQueue`] (`O(E)` expected instead of the old
-//! `O(E log E)` heap) that preserves the heap's exact deterministic
-//! `(time, key)` dequeue order. Service order on a contended channel is
-//! strictly by header arrival time, and the simulation is fully
-//! deterministic.
+//! one wake per contended acquisition. Events are `(time, key)` pairs on
+//! a binary min-heap. A packet has at most one pending header and a
+//! channel at most one pending release, so no two pending events share a
+//! pair and the dequeue order is a strict total order. Service order on a
+//! contended channel is strictly by header arrival time, and the
+//! simulation is fully deterministic.
+//!
+//! The heap holds only in-flight events: a few hundred (at most 324 on
+//! the Fig. 3 grid at `sim_sampling=8`), about eight levels deep. A
+//! bucketed calendar queue suits these times badly: the events crowd
+//! into a few of its 8-cycle buckets, and each pop min-scans a whole
+//! bucket (about 52 entries on that grid).
 //!
 //! All simulator state is arena-backed SoA held in a reusable
 //! [`SimScratch`]: packet hop records live in flat vectors sliced by a
@@ -25,14 +31,14 @@
 //! free-list chained by index — no per-packet heap allocation, and a warm
 //! scratch runs the whole simulation without allocating at all. The
 //! time-0 injection burst (every packet enters at cycle 0) is dispatched
-//! directly in `(time, key)` order instead of through the calendar, whose
-//! single-bucket min-scan would otherwise make the initial drain
-//! quadratic in the packet count.
+//! directly in `(time, key)` order instead of through the heap.
+
+use std::cmp::Reverse;
+use std::collections::BinaryHeap;
 
 use serde::{Deserialize, Serialize};
 use topology::{HwParams, LinkId, NodeId, Topology};
 
-use crate::calendar::CalendarQueue;
 use crate::flow::Flow;
 use crate::routing::RouteTable;
 
@@ -161,7 +167,8 @@ impl EventKind {
     /// one `u64` whose integer order equals the tuple order: releases
     /// drain before new arrivals at the same cycle (a header landing
     /// exactly when a contended channel frees queues behind the earlier
-    /// waiters). This is the event key fed to the [`CalendarQueue`].
+    /// waiters). This is the second field of the event heap's
+    /// `(time, key)` order.
     fn order_key(&self) -> u64 {
         match *self {
             EventKind::Free { ch } => (ch as u64) << 16,
@@ -255,7 +262,7 @@ struct LoopStats {
 }
 
 /// Reusable simulator state: the packet arena, the scheduler (busy
-/// times, wait queues, calendar), and the report buffers. Construct one
+/// times, wait queues, event heap), and the report buffers. Construct one
 /// per worker and pass it to [`simulate_with_scratch`] run after run —
 /// every buffer is cleared with capacity kept, so a warm scratch makes
 /// the whole simulation allocation-free.
@@ -266,7 +273,8 @@ pub struct SimScratch {
     wait_tail: Vec<u32>,
     wait_nodes: Vec<WaitNode>,
     free_node: u32,
-    queue: CalendarQueue,
+    /// Pending `(time, order_key)` events, earliest first.
+    queue: BinaryHeap<Reverse<(u64, u64)>>,
     stats: LoopStats,
     latencies: Vec<u64>,
     path: Vec<LinkId>,
@@ -294,7 +302,7 @@ impl SimScratch {
             wait_tail: Vec::new(),
             wait_nodes: Vec::new(),
             free_node: NIL,
-            queue: CalendarQueue::new(8),
+            queue: BinaryHeap::new(),
             stats: LoopStats::default(),
             latencies: Vec::new(),
             path: Vec::new(),
@@ -323,6 +331,11 @@ impl SimScratch {
         self.free_node = NIL;
         self.queue.clear();
         self.stats = LoopStats::default();
+    }
+
+    /// Queues event `ev` at `time`.
+    fn schedule(&mut self, time: u64, ev: EventKind) {
+        self.queue.push(Reverse((time, ev.order_key())));
     }
 
     fn has_waiters(&self, ch: usize) -> bool {
@@ -386,10 +399,7 @@ impl SimScratch {
         self.stats.hop_latency_total += hop_latency;
         self.stats.hop_latency_max = self.stats.hop_latency_max.max(hop_latency);
         self.stats.wait_total += now - arrived;
-        self.queue.push(
-            header_arrives,
-            EventKind::Header { seq, hop: hop + 1 }.order_key(),
-        );
+        self.schedule(header_arrives, EventKind::Header { seq, hop: hop + 1 });
     }
 
     /// Handles a Header event: deliver past the last hop, defer off a
@@ -411,20 +421,18 @@ impl SimScratch {
             // arrival, so back-to-back windows chain naturally).
             self.stats.fault_wait_total += end - time;
             self.stats.faulted_traversals += 1;
-            self.queue
-                .push(end, EventKind::Header { seq, hop }.order_key());
+            self.schedule(end, EventKind::Header { seq, hop });
             return false;
         }
         if self.busy_until[ch] <= time && !self.has_waiters(ch) {
             self.acquire(seq, hop, time, time);
         } else {
             if !self.has_waiters(ch) {
-                self.queue.push(
+                self.schedule(
                     self.busy_until[ch],
                     EventKind::Free {
                         ch: topology::narrow::u32_idx(ch),
-                    }
-                    .order_key(),
+                    },
                 );
             }
             self.park(ch, seq, hop, time);
@@ -511,7 +519,7 @@ fn build_packets_into(
     (energy_pj, flit_hops)
 }
 
-/// The wait-queue event loop. Each packet enters the calendar once per
+/// The wait-queue event loop. Each packet enters the heap once per
 /// hop; a header that finds its channel busy parks in the channel's FIFO
 /// and is woken by a single [`EventKind::Free`] event, so contended
 /// channels serve strictly in header-arrival order.
@@ -520,14 +528,13 @@ fn run_event_loop(st: &mut SimScratch, n_channels: usize, faults: &LinkFaults) {
     let n = st.arena.len();
     let mut delivered = 0usize;
 
-    // Time-0 burst fast path. Every packet is injected at cycle 0, so
-    // routing the burst through the calendar lands all n Header events
-    // in one bucket and the initial drain's min-scan goes quadratic in
-    // n. When every first-hop delay is >= 1 (serialization always is),
-    // every event generated while draining the burst lands strictly
-    // after cycle 0, so dispatching seqs in ascending order IS the
-    // queue's (time, key) dequeue order for the burst — bypass the
-    // calendar, with identical heap_events accounting.
+    // Time-0 burst fast path. Every packet is injected at cycle 0. When
+    // every first-hop delay is >= 1 (serialization always is), every
+    // event generated while draining the burst lands strictly after
+    // cycle 0, so dispatching seqs in ascending order IS the heap's
+    // (time, key) dequeue order for the burst. Bypassing the heap saves
+    // 2n heap operations and keeps the heap at the in-flight events
+    // instead of growing it to n entries; heap_events counts the same.
     let burst_direct = (0..n).all(|s| st.arena.hop_delay[st.arena.start(s)] > 0);
     if burst_direct {
         for seq in 0..n {
@@ -538,18 +545,17 @@ fn run_event_loop(st: &mut SimScratch, n_channels: usize, faults: &LinkFaults) {
         }
     } else {
         for seq in 0..n {
-            st.queue.push(
+            st.schedule(
                 0,
                 EventKind::Header {
                     seq: topology::narrow::u32_idx(seq),
                     hop: 0,
-                }
-                .order_key(),
+                },
             );
         }
     }
 
-    while let Some((time, key)) = st.queue.pop() {
+    while let Some(Reverse((time, key))) = st.queue.pop() {
         st.stats.heap_events += 1;
         match EventKind::from_order_key(key) {
             EventKind::Header { seq, hop } => {
@@ -561,15 +567,15 @@ fn run_event_loop(st: &mut SimScratch, n_channels: usize, faults: &LinkFaults) {
                 let w = st.pop_waiter(ch as usize);
                 st.acquire(w.seq, w.hop, time, w.arrived);
                 if st.has_waiters(ch as usize) {
-                    st.queue.push(
-                        st.busy_until[ch as usize],
-                        EventKind::Free { ch }.order_key(),
-                    );
+                    st.schedule(st.busy_until[ch as usize], EventKind::Free { ch });
                 }
             }
         }
     }
-    debug_assert_eq!(delivered, n);
+    assert_eq!(
+        delivered, n,
+        "the event loop delivered {delivered} of {n} packets"
+    );
 }
 
 /// Nearest-rank percentile on an ascending-sorted slice: the smallest

@@ -12,6 +12,12 @@
 //! nearest-rank p95s, and `heap_events`, must match bit for bit on any
 //! topology, flow set, and packet size — with a fresh scratch or one
 //! dirtied by arbitrary earlier runs.
+//!
+//! The reference deliberately keeps the 8-cycle [`CalendarQueue`] while
+//! the engine schedules on a binary heap, so the suite also cross-checks
+//! two independent exact `(time, key)` queues. It runs at most 30 flows
+//! on 6×6 fabrics and has no fault model; `des_pinned.rs` pins the
+//! engine at benchmark scale and under link blackouts.
 
 use std::collections::VecDeque;
 
@@ -261,7 +267,7 @@ proptest! {
     }
 
     /// A degenerate hardware config (`router_pipeline_cycles == 0`)
-    /// defeats the engine's time-0 burst fast path; the calendar
+    /// defeats the engine's time-0 burst fast path; the queued
     /// fallback must still match the reference exactly.
     #[test]
     fn burst_fallback_matches_reference(

@@ -7,24 +7,30 @@
 //! (packet counts, report equality).
 
 use std::alloc::{GlobalAlloc, Layout, System};
-use std::sync::atomic::{AtomicU64, Ordering};
-use std::sync::Mutex;
+use std::cell::Cell;
 
 use netsim::{simulate_with_scratch, simulate_with_table, Flow, RouteTable, SimConfig, SimScratch};
 use topology::{kite, mesh2d, HwParams, NodeId};
 
-/// The allocation counter is process-global, so tests in this binary
-/// must not run concurrently with the counting window.
-static SERIAL: Mutex<()> = Mutex::new(());
-
-/// System allocator wrapped with an allocation counter.
+/// System allocator wrapped with a per-thread allocation counter. The
+/// code under test runs on the test's own thread, so counting per thread
+/// keeps allocations of other threads (the test harness spawning the
+/// next test) out of every counting window.
 struct CountingAlloc;
 
-static ALLOCS: AtomicU64 = AtomicU64::new(0);
+thread_local! {
+    // Const-initialised and drop-free: the allocator can update it
+    // without allocating or registering a destructor.
+    static ALLOCS: Cell<u64> = const { Cell::new(0) };
+}
+
+fn count_alloc() {
+    ALLOCS.with(|c| c.set(c.get() + 1));
+}
 
 unsafe impl GlobalAlloc for CountingAlloc {
     unsafe fn alloc(&self, layout: Layout) -> *mut u8 {
-        ALLOCS.fetch_add(1, Ordering::Relaxed);
+        count_alloc();
         unsafe { System.alloc(layout) }
     }
 
@@ -33,7 +39,7 @@ unsafe impl GlobalAlloc for CountingAlloc {
     }
 
     unsafe fn realloc(&self, ptr: *mut u8, layout: Layout, new_size: usize) -> *mut u8 {
-        ALLOCS.fetch_add(1, Ordering::Relaxed);
+        count_alloc();
         unsafe { System.realloc(ptr, layout, new_size) }
     }
 }
@@ -41,13 +47,13 @@ unsafe impl GlobalAlloc for CountingAlloc {
 #[global_allocator]
 static GLOBAL: CountingAlloc = CountingAlloc;
 
+/// Allocations made so far by the calling thread.
 fn alloc_count() -> u64 {
-    ALLOCS.load(Ordering::Relaxed)
+    ALLOCS.with(Cell::get)
 }
 
 #[test]
 fn path_into_is_allocation_free_after_warmup() {
-    let _serial = SERIAL.lock().unwrap();
     let topo = mesh2d(8, 8).unwrap();
     let rt = RouteTable::build(&topo, &HwParams::default());
     let n = topo.node_count() as u32;
@@ -75,12 +81,11 @@ fn path_into_is_allocation_free_after_warmup() {
 /// The whole DES — packet segmentation, the wait-queue event loop under
 /// real contention (parks, Free events, node recycling), and report
 /// assembly — must run without a single heap allocation once the
-/// scratch is warm. The calendar keeps its grown bucket array across
-/// `clear()`, the arena and wait-node pool keep their capacity, so a
-/// steady-state sweep pays zero allocator traffic per cell.
+/// scratch is warm. The event heap, the arena and the wait-node pool
+/// keep their capacity across `clear()`, so a steady-state sweep pays
+/// zero allocator traffic per cell.
 #[test]
 fn warm_simulate_with_scratch_is_allocation_free() {
-    let _serial = SERIAL.lock().unwrap();
     let topo = mesh2d(6, 6).unwrap();
     let hw = HwParams::default();
     let rt = RouteTable::build(&topo, &hw);
@@ -92,10 +97,10 @@ fn warm_simulate_with_scratch_is_allocation_free() {
         .collect();
     flows.extend((0..12).map(|i| Flow::new(NodeId(35 - i), NodeId(i * 3 % 36), 2048)));
 
-    // Two warm-up runs: the first grows every buffer, but a mid-run
-    // calendar `grow()` redistributes events modulo the doubled bucket
-    // count, so individual bucket capacities only stabilize on the
-    // second pass (which runs start-to-finish at the final count).
+    // Two warm-up runs: the first grows every buffer to the run's peak.
+    // The second keeps the counting window honest for any buffer whose
+    // capacity settles only on a later pass, as the per-bucket arenas of
+    // a calendar queue do after a mid-run `grow()`.
     let mut scratch = SimScratch::new();
     let warm = simulate_with_scratch(&topo, &hw, &flows, &cfg, &rt, &mut scratch);
     assert!(warm.total_channel_wait_cycles > 0, "pattern must contend");
@@ -114,7 +119,6 @@ fn warm_simulate_with_scratch_is_allocation_free() {
 
 #[test]
 fn path_into_matches_path_everywhere() {
-    let _serial = SERIAL.lock().unwrap();
     for topo in [mesh2d(6, 6).unwrap(), kite(6, 6).unwrap()] {
         let rt = RouteTable::build(&topo, &HwParams::default());
         let mut buf = Vec::new();
@@ -130,7 +134,6 @@ fn path_into_matches_path_everywhere() {
 
 #[test]
 fn buffer_reuse_preserves_packet_counts() {
-    let _serial = SERIAL.lock().unwrap();
     // The DES setup now routes through the shared scratch; its observable
     // output must be exactly what per-flow path vectors produced: one
     // packet per `packet_bytes` segment, identical full reports.
