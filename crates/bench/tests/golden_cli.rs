@@ -12,34 +12,12 @@
 //! UPDATE_GOLDEN=1 cargo test -p pim_bench --test golden_cli
 //! ```
 
-use std::path::PathBuf;
-
 mod common;
-use common::run_cli;
-
-fn golden_dir() -> PathBuf {
-    PathBuf::from(env!("CARGO_MANIFEST_DIR")).join("tests/golden")
-}
+use common::{assert_matches_golden, golden_dir, run_cli};
 
 fn assert_golden(args: &[&str], file: &str) {
-    let actual = run_cli(args);
-    let path = golden_dir().join(file);
-    if pim_core::envknobs::is_set("UPDATE_GOLDEN") {
-        std::fs::create_dir_all(golden_dir()).expect("golden dir");
-        std::fs::write(&path, &actual).expect("write golden");
-        return;
-    }
-    let expected = std::fs::read_to_string(&path).unwrap_or_else(|e| {
-        panic!(
-            "missing golden {} ({e}); run with UPDATE_GOLDEN=1 to record",
-            path.display()
-        )
-    });
-    assert_eq!(
-        actual, expected,
-        "pim-bench {args:?} drifted from {file}; if intentional, regenerate with \
-         UPDATE_GOLDEN=1 cargo test -p pim_bench --test golden_cli"
-    );
+    let what = format!("pim-bench {args:?}");
+    assert_matches_golden(&run_cli(args), file, &what, "golden_cli");
 }
 
 #[test]

@@ -473,8 +473,24 @@ const FTAG_CHIP_DOWN: u64 = 5;
 
 /// Fleet event key: tag (8 bits) | chip (16 bits) | id (40 bits). Ties
 /// at one instant order by tag, then chip, then id.
+///
+/// # Panics
+///
+/// Panics if `id` does not fit its 40-bit field, instead of letting it
+/// spill into the chip field.
 fn fleet_key(tag: u64, chip: usize, id: u64) -> u64 {
-    (tag << 56) | ((chip as u64) << 40) | (id & 0xFF_FFFF_FFFF)
+    if id >> 40 != 0 {
+        fleet_id_overflow(id);
+    }
+    (tag << 56) | ((chip as u64) << 40) | id
+}
+
+/// The failure path of [`fleet_key`], kept out of line so the hot key
+/// packing stays a few instructions.
+#[cold]
+#[inline(never)]
+fn fleet_id_overflow(id: u64) -> ! {
+    panic!("fleet event id {id} exceeds the 40-bit key field")
 }
 
 /// Per-chip serving state inside the fleet loop.
@@ -936,6 +952,23 @@ mod tests {
 
     fn spec() -> ServingSpec {
         ServingSpec::default()
+    }
+
+    #[test]
+    fn fleet_key_packs_the_largest_id() {
+        let id = (1 << 40) - 1;
+        let key = fleet_key(FTAG_CHIP_DOWN, MAX_FLEET - 1, id);
+        assert_eq!(key >> 56, FTAG_CHIP_DOWN);
+        assert_eq!((key >> 40) & 0xFFFF, (MAX_FLEET - 1) as u64);
+        assert_eq!(key & id, id);
+        // The id field never carries into the chip field.
+        assert!(key < fleet_key(FTAG_CHIP_DOWN + 1, 0, 0));
+    }
+
+    #[test]
+    #[should_panic(expected = "exceeds the 40-bit key field")]
+    fn fleet_key_rejects_an_id_past_40_bits() {
+        fleet_key(FTAG_ARRIVAL, 0, 1 << 40);
     }
 
     fn service() -> Vec<u64> {

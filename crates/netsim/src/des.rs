@@ -2,36 +2,39 @@
 //! switching.
 //!
 //! Flows are segmented into packets; every directed link channel and every
-//! source network interface is a FIFO resource. A packet occupies each
-//! channel on its path for its serialization time; the header advances one
-//! hop per `router_pipeline + wire` delay and the payload streams behind
-//! it (cut-through). Contention appears as busy channels that delay the
-//! header.
+//! source network interface (NI) is a FIFO resource. A packet occupies
+//! each channel on its path for its serialization time; the header
+//! advances one hop per `router_pipeline + wire` delay and the payload
+//! streams behind it (cut-through). Contention appears as busy channels
+//! that delay the header.
 //!
-//! The event loop is wait-queue based: a packet whose header reaches a
-//! busy channel is parked once in that channel's FIFO queue and woken by
-//! a single channel-release event — there is no retry polling, so every
-//! packet costs one scheduler event per hop (plus its delivery event) and
-//! one wake per contended acquisition. Events are `(time, key)` pairs on
-//! a binary min-heap. A packet has at most one pending header and a
-//! channel at most one pending release, so no two pending events share a
-//! pair and the dequeue order is a strict total order. Service order on a
-//! contended channel is strictly by header arrival time, and the
-//! simulation is fully deterministic.
+//! Only link traversals go through the event loop. Every packet enters
+//! its source NI at cycle 0 in seq order and no fault window covers an
+//! NI, so each NI grant is a running sum of the source's serialization
+//! times: one pass computes them all. The heap holds each source's next
+//! first-link header, and the source's following header is queued when
+//! that one first pops, so the heap never grows to the packet count.
+//! Delivery needs no event either: a packet's tail drains one
+//! serialization window after its header crosses the last link, and that
+//! time is recorded when the last channel is granted.
 //!
-//! The heap holds only in-flight events: a few hundred (at most 324 on
-//! the Fig. 3 grid at `sim_sampling=8`), about eight levels deep. A
-//! bucketed calendar queue suits these times badly: the events crowd
-//! into a few of its 8-cycle buckets, and each pop min-scans a whole
-//! bucket (about 52 entries on that grid).
+//! Link contention is wait-queue based: a header that reaches a busy
+//! channel is parked once in that channel's FIFO queue and woken by a
+//! single channel-release event, with no retry polling. Events are
+//! `(time, key)` pairs on a binary min-heap. A packet has at most one
+//! pending header and a channel at most one pending release, so no two
+//! pending events share a pair and the dequeue order is a strict total
+//! order. Service order on a contended channel is strictly by header
+//! arrival time, and the simulation is fully deterministic.
+//! [`SimReport::heap_events`] counts the events of that model (a header
+//! per traversal, a delivery per packet, a wake per contended
+//! acquisition), including those computed without the heap.
 //!
 //! All simulator state is arena-backed SoA held in a reusable
 //! [`SimScratch`]: packet hop records live in flat vectors sliced by a
 //! per-packet offset table, and wait-queue nodes come from a pooled
 //! free-list chained by index — no per-packet heap allocation, and a warm
-//! scratch runs the whole simulation without allocating at all. The
-//! time-0 injection burst (every packet enters at cycle 0) is dispatched
-//! directly in `(time, key)` order instead of through the heap.
+//! scratch runs the whole simulation without allocating at all.
 
 use std::cmp::Reverse;
 use std::collections::BinaryHeap;
@@ -80,9 +83,12 @@ pub struct SimReport {
     /// Cycles headers spent parked in channel wait queues, summed over
     /// all traversals (pure contention; zero on an idle network).
     pub total_channel_wait_cycles: u64,
-    /// Heap events processed by the scheduler: one per channel traversal
-    /// and one delivery event per packet, plus one wake per contended
-    /// channel acquisition.
+    /// Modelled scheduler events, not heap operations: one header event
+    /// per channel traversal (the source NI included), one delivery event
+    /// per packet, one wake per contended channel acquisition (NI queueing
+    /// included) and one re-arrival per fault deferral. NI grants and
+    /// deliveries are computed without the heap but counted here all the
+    /// same.
     pub heap_events: u64,
     /// Cycles headers spent stalled at transiently faulted channels,
     /// summed over all deferrals (zero on a healthy network).
@@ -112,10 +118,12 @@ impl LinkFaults {
 
     /// Builds the per-channel window set from undirected link faults:
     /// each `(link, start, end)` blackout covers both directed channels
-    /// of the link. Windows are sorted and merged per channel.
+    /// of the link. Windows are sorted and merged per channel. Only the
+    /// `2 × link_count` link channels get slots: an NI channel is never
+    /// faulted, which the simulator's injection pass relies on.
     pub fn from_link_windows(topo: &Topology, faults: &[(LinkId, u64, u64)]) -> LinkFaults {
         let n_links = topo.link_count();
-        let mut windows = vec![Vec::new(); 2 * n_links + topo.node_count()];
+        let mut windows = vec![Vec::new(); 2 * n_links];
         for &(lid, start, end) in faults {
             if end <= start {
                 continue;
@@ -143,7 +151,8 @@ impl LinkFaults {
     }
 
     /// The end of the fault window covering channel `ch` at time `t`,
-    /// or `None` when the channel is healthy at `t`.
+    /// or `None` when the channel is healthy at `t` (always for an NI
+    /// channel).
     fn blocked_until(&self, ch: usize, t: u64) -> Option<u64> {
         let w = self.windows.get(ch)?;
         // Last window starting at or before t; windows are disjoint.
@@ -158,7 +167,8 @@ enum EventKind {
     /// A channel finished serializing its current packet; serve the next
     /// waiter from the channel's FIFO queue.
     Free { ch: u32 },
-    /// A packet header arrives wanting its `hop`-th channel.
+    /// A packet header arrives wanting its `hop`-th channel, a link
+    /// (`hop >= 1`; hop 0 is the source NI).
     Header { seq: u32, hop: u16 },
 }
 
@@ -216,11 +226,13 @@ struct PacketArena {
     /// `offsets[i]..offsets[i + 1]` bounds packet `i`'s hop records;
     /// always one longer than the packet count.
     offsets: Vec<u32>,
-    /// Channel id of each traversal: the source NI, then directed links.
+    /// Channel id of each traversal: the source NI, then directed links
+    /// (at least one: flows with `src == dst` produce no packets).
     channels: Vec<u32>,
     /// Header delay of each traversal.
     hop_delay: Vec<u64>,
     ser_cycles: Vec<u64>,
+    /// Delivery cycle of each packet; 0 until its last channel is granted.
     delivered_at: Vec<u64>,
 }
 
@@ -259,16 +271,36 @@ struct LoopStats {
     heap_events: u64,
     fault_wait_total: u64,
     faulted_traversals: u64,
+    delivered: usize,
+}
+
+impl LoopStats {
+    /// Records one channel traversal: granted at `now` to a header that
+    /// arrived at `arrived`, whose next hop starts at `header_arrives`.
+    fn traverse(&mut self, arrived: u64, now: u64, header_arrives: u64) {
+        let hop_latency = header_arrives - arrived;
+        self.hop_traversals += 1;
+        self.hop_latency_total += hop_latency;
+        self.hop_latency_max = self.hop_latency_max.max(hop_latency);
+        self.wait_total += now - arrived;
+    }
 }
 
 /// Reusable simulator state: the packet arena, the scheduler (busy
-/// times, wait queues, event heap), and the report buffers. Construct one
-/// per worker and pass it to [`simulate_with_scratch`] run after run —
-/// every buffer is cleared with capacity kept, so a warm scratch makes
-/// the whole simulation allocation-free.
+/// times, NI chains, wait queues, event heap), and the report buffers.
+/// Construct one per worker and pass it to [`simulate_with_scratch`] run
+/// after run — every buffer is cleared with capacity kept, so a warm
+/// scratch makes the whole simulation allocation-free.
 pub struct SimScratch {
     arena: PacketArena,
     busy_until: Vec<u64>,
+    /// Per packet: the next packet of the same source, whose first-link
+    /// header is queued when this packet's first pops; `NIL` at a
+    /// source's last packet and once queued.
+    ni_next: Vec<u32>,
+    /// Per channel: the last packet granted at that NI so far (used only
+    /// while the injection pass links `ni_next`).
+    ni_last: Vec<u32>,
     wait_head: Vec<u32>,
     wait_tail: Vec<u32>,
     wait_nodes: Vec<WaitNode>,
@@ -298,6 +330,8 @@ impl SimScratch {
         SimScratch {
             arena: PacketArena::default(),
             busy_until: Vec::new(),
+            ni_next: Vec::new(),
+            ni_last: Vec::new(),
             wait_head: Vec::new(),
             wait_tail: Vec::new(),
             wait_nodes: Vec::new(),
@@ -323,6 +357,10 @@ impl SimScratch {
     fn reset_engine(&mut self, n_channels: usize) {
         self.busy_until.clear();
         self.busy_until.resize(n_channels, 0);
+        self.ni_next.clear();
+        self.ni_next.resize(self.arena.len(), NIL);
+        self.ni_last.clear();
+        self.ni_last.resize(n_channels, NIL);
         self.wait_head.clear();
         self.wait_head.resize(n_channels, NIL);
         self.wait_tail.clear();
@@ -386,34 +424,81 @@ impl SimScratch {
         node
     }
 
-    /// Grants packet `seq` its `hop`-th channel at `now` (the header
-    /// arrived wanting it at `arrived <= now`) and schedules the next
-    /// hop.
-    fn acquire(&mut self, seq: u32, hop: u16, now: u64, arrived: u64) {
-        let start = self.arena.start(seq as usize);
-        let ch = self.arena.channels[start + hop as usize] as usize;
-        self.busy_until[ch] = now + self.arena.ser_cycles[seq as usize];
-        let header_arrives = now + self.arena.hop_delay[start + hop as usize];
-        let hop_latency = header_arrives - arrived;
-        self.stats.hop_traversals += 1;
-        self.stats.hop_latency_total += hop_latency;
-        self.stats.hop_latency_max = self.stats.hop_latency_max.max(hop_latency);
-        self.stats.wait_total += now - arrived;
-        self.schedule(header_arrives, EventKind::Header { seq, hop: hop + 1 });
+    /// Grants every packet its source NI, in place of the time-0 header
+    /// events and the NI wakes. All packets enter at cycle 0 in seq order
+    /// and no fault window covers an NI, so a packet's grant is the sum
+    /// of the serialization times of its source's earlier packets. Queues
+    /// each source's first first-link header and chains the rest through
+    /// `ni_next`.
+    fn inject(&mut self) {
+        for seq in 0..self.arena.len() {
+            let start = self.arena.start(seq);
+            let ni = self.arena.channels[start] as usize;
+            let granted = self.busy_until[ni];
+            self.busy_until[ni] = granted + self.arena.ser_cycles[seq];
+            let header_arrives = granted + self.arena.hop_delay[start];
+            self.stats.traverse(0, granted, header_arrives);
+            // The packet's time-0 header event.
+            self.stats.heap_events += 1;
+            let seq = topology::narrow::u32_idx(seq);
+            match self.ni_last[ni] {
+                NIL => self.schedule(header_arrives, EventKind::Header { seq, hop: 1 }),
+                prev => {
+                    self.ni_next[prev as usize] = seq;
+                    // The NI release that woke this packet.
+                    self.stats.heap_events += 1;
+                }
+            }
+            self.ni_last[ni] = seq;
+        }
     }
 
-    /// Handles a Header event: deliver past the last hop, defer off a
-    /// faulted channel, acquire a free channel, or park on a busy one
-    /// (the first waiter arms the channel's release event). Returns
-    /// `true` on delivery.
-    fn dispatch_header(&mut self, seq: u32, hop: u16, time: u64, faults: &LinkFaults) -> bool {
-        let s = seq as usize;
-        if hop as usize >= self.arena.hops(s) {
-            // Tail drains one serialization window after the header
-            // lands.
-            self.arena.delivered_at[s] = time + self.arena.ser_cycles[s];
-            return true;
+    /// On the first pop of packet `seq`'s first-link header, at `time`,
+    /// queues the next first-link header of the same source: the NI
+    /// grants that packet when it releases `seq`. The link is consumed,
+    /// so a fault deferral's re-pop queues nothing.
+    fn release_ni(&mut self, seq: u32, time: u64) {
+        let next = std::mem::replace(&mut self.ni_next[seq as usize], NIL);
+        if next != NIL {
+            let (s, n) = (seq as usize, next as usize);
+            let granted =
+                time - self.arena.hop_delay[self.arena.start(s)] + self.arena.ser_cycles[s];
+            let arrives = granted + self.arena.hop_delay[self.arena.start(n)];
+            self.schedule(arrives, EventKind::Header { seq: next, hop: 1 });
         }
+    }
+
+    /// Grants packet `seq` its `hop`-th channel at `now` (the header
+    /// arrived wanting it at `arrived <= now`) and schedules the next
+    /// hop, or records the delivery when that was the last channel.
+    fn acquire(&mut self, seq: u32, hop: u16, now: u64, arrived: u64) {
+        let s = seq as usize;
+        let start = self.arena.start(s);
+        let ch = self.arena.channels[start + hop as usize] as usize;
+        let ser = self.arena.ser_cycles[s];
+        self.busy_until[ch] = now + ser;
+        let header_arrives = now + self.arena.hop_delay[start + hop as usize];
+        self.stats.traverse(arrived, now, header_arrives);
+        if hop as usize + 1 < self.arena.hops(s) {
+            self.schedule(header_arrives, EventKind::Header { seq, hop: hop + 1 });
+        } else {
+            // The tail drains one serialization window after the header
+            // lands; this stands in for the delivery event.
+            assert_eq!(
+                self.arena.delivered_at[s], 0,
+                "packet {seq} was delivered twice"
+            );
+            self.arena.delivered_at[s] = header_arrives + ser;
+            self.stats.heap_events += 1;
+            self.stats.delivered += 1;
+        }
+    }
+
+    /// Handles a link Header event: defer off a faulted channel, acquire
+    /// a free channel, or park on a busy one (the first waiter arms the
+    /// channel's release event).
+    fn dispatch_header(&mut self, seq: u32, hop: u16, time: u64, faults: &LinkFaults) {
+        let s = seq as usize;
         let ch = self.arena.channels[self.arena.start(s) + hop as usize] as usize;
         if let Some(end) = faults.blocked_until(ch, time) {
             // The channel is mid-blackout: defer the header to the
@@ -422,7 +507,7 @@ impl SimScratch {
             self.stats.fault_wait_total += end - time;
             self.stats.faulted_traversals += 1;
             self.schedule(end, EventKind::Header { seq, hop });
-            return false;
+            return;
         }
         if self.busy_until[ch] <= time && !self.has_waiters(ch) {
             self.acquire(seq, hop, time, time);
@@ -437,7 +522,6 @@ impl SimScratch {
             }
             self.park(ch, seq, hop, time);
         }
-        false
     }
 }
 
@@ -453,6 +537,14 @@ impl SimScratch {
 pub fn simulate(topo: &Topology, hw: &HwParams, flows: &[Flow], cfg: &SimConfig) -> SimReport {
     let rt = RouteTable::build(topo, hw);
     simulate_with_table(topo, hw, flows, cfg, &rt)
+}
+
+/// Panics, instead of letting a header key wrap, unless a packet routed
+/// over `links` links fits the key's 16-bit hop field: its hop count (the
+/// source NI plus each link) must fit a `u16`, so no hop index and no
+/// `hop + 1` can wrap.
+fn assert_hop_field_fits(links: usize) {
+    topology::narrow::u16_idx(links + 1);
 }
 
 /// Segments `flows` into packets with per-hop channel ids and delays,
@@ -488,6 +580,7 @@ fn build_packets_into(
         // `path_into` clears and refills the scratch buffer per flow, so
         // routing never allocates once the buffer is warm.
         rt.path_into(topo, f.src, f.dst, path);
+        assert_hop_field_fits(path.len());
         let mut remaining = f.bytes;
         while remaining > 0 {
             let size = remaining.min(cfg.packet_bytes as u64);
@@ -519,49 +612,22 @@ fn build_packets_into(
     (energy_pj, flit_hops)
 }
 
-/// The wait-queue event loop. Each packet enters the heap once per
-/// hop; a header that finds its channel busy parks in the channel's FIFO
-/// and is woken by a single [`EventKind::Free`] event, so contended
-/// channels serve strictly in header-arrival order.
+/// The event loop. The injection pass grants every NI up front; then
+/// each packet enters the heap once per link. A header that finds its
+/// link busy parks in the channel's FIFO and is woken by a single
+/// [`EventKind::Free`] event, so contended channels serve strictly in
+/// header-arrival order.
 fn run_event_loop(st: &mut SimScratch, n_channels: usize, faults: &LinkFaults) {
     st.reset_engine(n_channels);
-    let n = st.arena.len();
-    let mut delivered = 0usize;
-
-    // Time-0 burst fast path. Every packet is injected at cycle 0. When
-    // every first-hop delay is >= 1 (serialization always is), every
-    // event generated while draining the burst lands strictly after
-    // cycle 0, so dispatching seqs in ascending order IS the heap's
-    // (time, key) dequeue order for the burst. Bypassing the heap saves
-    // 2n heap operations and keeps the heap at the in-flight events
-    // instead of growing it to n entries; heap_events counts the same.
-    let burst_direct = (0..n).all(|s| st.arena.hop_delay[st.arena.start(s)] > 0);
-    if burst_direct {
-        for seq in 0..n {
-            st.stats.heap_events += 1;
-            if st.dispatch_header(topology::narrow::u32_idx(seq), 0, 0, faults) {
-                delivered += 1;
-            }
-        }
-    } else {
-        for seq in 0..n {
-            st.schedule(
-                0,
-                EventKind::Header {
-                    seq: topology::narrow::u32_idx(seq),
-                    hop: 0,
-                },
-            );
-        }
-    }
-
+    st.inject();
     while let Some(Reverse((time, key))) = st.queue.pop() {
         st.stats.heap_events += 1;
         match EventKind::from_order_key(key) {
             EventKind::Header { seq, hop } => {
-                if st.dispatch_header(seq, hop, time, faults) {
-                    delivered += 1;
+                if hop == 1 {
+                    st.release_ni(seq, time);
                 }
+                st.dispatch_header(seq, hop, time, faults);
             }
             EventKind::Free { ch } => {
                 let w = st.pop_waiter(ch as usize);
@@ -572,20 +638,22 @@ fn run_event_loop(st: &mut SimScratch, n_channels: usize, faults: &LinkFaults) {
             }
         }
     }
+    let (delivered, n) = (st.stats.delivered, st.arena.len());
     assert_eq!(
         delivered, n,
         "the event loop delivered {delivered} of {n} packets"
     );
 }
 
-/// Nearest-rank percentile on an ascending-sorted slice: the smallest
-/// value with at least `pct`% of the samples at or below it.
-fn percentile_nearest_rank(sorted: &[u64], pct: u64) -> u64 {
-    if sorted.is_empty() {
+/// Nearest-rank percentile: the smallest sample with at least `pct`% of
+/// the samples at or below it. Reorders `samples` (a linear-time
+/// selection, no sort).
+fn percentile_nearest_rank(samples: &mut [u64], pct: u64) -> u64 {
+    if samples.is_empty() {
         return 0;
     }
-    let rank = (sorted.len() as u64 * pct).div_ceil(100).max(1) as usize;
-    sorted[rank - 1]
+    let rank = (samples.len() as u64 * pct).div_ceil(100).max(1) as usize;
+    *samples.select_nth_unstable(rank - 1).1
 }
 
 /// [`simulate`] with a prebuilt routing table.
@@ -635,24 +703,22 @@ pub fn simulate_faulty_with_scratch(
     let n_channels = 2 * topo.link_count() + topo.node_count();
     run_event_loop(scratch, n_channels, faults);
 
-    scratch.latencies.clear();
-    scratch
-        .latencies
-        .extend_from_slice(&scratch.arena.delivered_at);
-    scratch.latencies.sort_unstable();
-    let latencies = &scratch.latencies;
-    let stats = &scratch.stats;
-    let makespan = latencies.last().copied().unwrap_or(0);
-    let mean = if latencies.is_empty() {
+    let delivered_at = &scratch.arena.delivered_at;
+    let packets = delivered_at.len() as u64;
+    let makespan = delivered_at.iter().copied().max().unwrap_or(0);
+    let mean = if packets == 0 {
         0.0
     } else {
-        latencies.iter().sum::<u64>() as f64 / latencies.len() as f64
+        delivered_at.iter().sum::<u64>() as f64 / packets as f64
     };
+    scratch.latencies.clear();
+    scratch.latencies.extend_from_slice(delivered_at);
+    let stats = &scratch.stats;
     SimReport {
         makespan_cycles: makespan,
         mean_packet_latency_cycles: mean,
-        p95_packet_latency_cycles: percentile_nearest_rank(latencies, 95),
-        packets: latencies.len() as u64,
+        p95_packet_latency_cycles: percentile_nearest_rank(&mut scratch.latencies, 95),
+        packets,
         flit_hops,
         total_energy_pj: energy_pj,
         mean_hop_header_latency_cycles: if stats.hop_traversals == 0 {
@@ -815,7 +881,7 @@ mod tests {
         assert_eq!(rep.total_channel_wait_cycles, 0);
         assert_eq!(rep.max_hop_header_latency_cycles, 5);
         assert!((rep.mean_hop_header_latency_cycles - 14.0 / 3.0).abs() < 1e-12);
-        // One heap event per hop plus the delivery event, no contention.
+        // One scheduler event per hop plus the delivery, no contention.
         assert_eq!(rep.heap_events, 4);
     }
 
@@ -882,10 +948,11 @@ mod tests {
 
     #[test]
     fn zero_first_hop_delay_falls_back_to_queue() {
-        // router_pipeline_cycles = 0 defeats the burst fast path's
-        // precondition (first-hop headers would re-enter cycle 0); the
-        // fallback must still order the burst exactly like the reference
-        // retry-polling loop on a contention-free pattern.
+        // router_pipeline_cycles = 0 puts every source's first first-link
+        // header at cycle 0, the instant of the injection burst (the name
+        // is older than the injection pass: no fallback path exists). The
+        // burst must still order exactly like the reference retry-polling
+        // loop on a contention-free pattern.
         let topo = mesh5();
         let hw = HwParams {
             router_pipeline_cycles: 0,
@@ -897,7 +964,7 @@ mod tests {
             .map(|i| Flow::new(NodeId(i * 5), NodeId(i * 5 + 4), 512))
             .collect();
         let (arena, _, _) = build_packets(&topo, &hw, &flows, &cfg, &rt);
-        assert!(arena.hop_delay[arena.start(0)] == 0, "guard must trip");
+        assert!(arena.hop_delay[arena.start(0)] == 0, "zero NI delay");
         let n_channels = 2 * topo.link_count() + topo.node_count();
         let mut legacy = arena_to_aos(&arena);
         let st = run_arena(arena, n_channels);
@@ -991,19 +1058,22 @@ mod tests {
     #[test]
     fn p95_nearest_rank_boundaries() {
         // n = 1: the only sample is every percentile.
-        assert_eq!(percentile_nearest_rank(&[42], 95), 42);
+        assert_eq!(percentile_nearest_rank(&mut [42], 95), 42);
         // n = 20: rank ceil(0.95 * 20) = 19 -> the 19th smallest.
-        let v20: Vec<u64> = (1..=20).collect();
-        assert_eq!(percentile_nearest_rank(&v20, 95), 19);
+        let mut v20: Vec<u64> = (1..=20).collect();
+        assert_eq!(percentile_nearest_rank(&mut v20, 95), 19);
         // n = 100: rank ceil(0.95 * 100) = 95 -> the 95th smallest.
-        let v100: Vec<u64> = (1..=100).collect();
-        assert_eq!(percentile_nearest_rank(&v100, 95), 95);
+        let mut v100: Vec<u64> = (1..=100).collect();
+        assert_eq!(percentile_nearest_rank(&mut v100, 95), 95);
         // n = 10: rank ceil(9.5) = 10 -> the max. The seed's floor
         // truncation under-reported this as the 9th sample.
-        let v10: Vec<u64> = (1..=10).map(|i| i * 100).collect();
-        assert_eq!(percentile_nearest_rank(&v10, 95), 1000);
+        let mut v10: Vec<u64> = (1..=10).map(|i| i * 100).collect();
+        assert_eq!(percentile_nearest_rank(&mut v10, 95), 1000);
         // Empty input stays 0.
-        assert_eq!(percentile_nearest_rank(&[], 95), 0);
+        assert_eq!(percentile_nearest_rank(&mut [], 95), 0);
+        // Unsorted input selects the same rank.
+        let mut shuffled: Vec<u64> = (1..=20).map(|i| (i * 7) % 20 + 1).collect();
+        assert_eq!(percentile_nearest_rank(&mut shuffled, 95), 19);
     }
 
     #[test]
@@ -1151,6 +1221,43 @@ mod tests {
             faulty.makespan_cycles,
             1_000 + healthy.makespan_cycles - u64::from(hw.router_pipeline_cycles)
         );
+    }
+
+    #[test]
+    fn ni_channels_are_never_faulted() {
+        // Every link blacked out from cycle 0: no window slot exists for
+        // an NI channel, so none of them is ever blocked.
+        let topo = mesh5();
+        let n_links = topo.link_count();
+        let windows: Vec<(LinkId, u64, u64)> = (0..n_links)
+            .map(|l| (LinkId(topology::narrow::u32_idx(l)), 0, u64::MAX))
+            .collect();
+        let faults = LinkFaults::from_link_windows(&topo, &windows);
+        for ch in 0..2 * n_links {
+            assert_eq!(faults.blocked_until(ch, 0), Some(u64::MAX));
+        }
+        for ch in 2 * n_links..2 * n_links + topo.node_count() {
+            assert_eq!(faults.blocked_until(ch, 0), None, "NI channel {ch}");
+            assert_eq!(faults.blocked_until(ch, 1 << 40), None, "NI channel {ch}");
+        }
+    }
+
+    #[test]
+    fn hop_field_fits_its_largest_packet() {
+        // 65,534 links plus the source NI: 65,535 traversals, the most
+        // the 16-bit hop field holds.
+        assert_hop_field_fits(65_534);
+        let last = EventKind::Header {
+            seq: u32::MAX,
+            hop: u16::MAX,
+        };
+        assert!(EventKind::from_order_key(last.order_key()) == last);
+    }
+
+    #[test]
+    #[should_panic(expected = "exceeds the u16")]
+    fn hop_field_overflow_panics() {
+        assert_hop_field_fits(65_535);
     }
 
     #[test]

@@ -3,30 +3,33 @@
 //! `reference_simulate` below is a test-only retelling of the simulator
 //! as it stood **before** the arena/SoA rewrite: each packet owns boxed
 //! `Vec`s (AoS), channel wait queues are `VecDeque`s, and every event —
-//! including the whole time-0 injection burst — goes through the
-//! calendar. It is built purely from `netsim`'s public API and computes
-//! the full [`SimReport`]. The production engine replaces all of that
-//! with flat arenas, an index-linked wait-node pool, and a direct burst
-//! dispatch, and must stay *observationally identical*: every field of
-//! the report, including float sums (same accumulation order),
+//! the whole time-0 injection burst, every NI wake and every delivery
+//! included — goes through the calendar. Its fault model is its own too:
+//! each channel keeps the raw `(start, end)` windows of its link, and a
+//! header arriving inside one defers to the end of the run of windows
+//! that covers it. It is built purely from `netsim`'s public API and
+//! computes the full [`SimReport`]. The production engine replaces all
+//! of that with flat arenas, an index-linked wait-node pool, NI grants
+//! computed up front, delivery times recorded without events, and merged
+//! fault windows, and must stay *observationally identical*: every field
+//! of the report, including float sums (same accumulation order),
 //! nearest-rank p95s, and `heap_events`, must match bit for bit on any
-//! topology, flow set, and packet size — with a fresh scratch or one
-//! dirtied by arbitrary earlier runs.
+//! topology, flow set, packet size and blackout set — with a fresh
+//! scratch or one dirtied by arbitrary earlier runs.
 //!
 //! The reference deliberately keeps the 8-cycle [`CalendarQueue`] while
 //! the engine schedules on a binary heap, so the suite also cross-checks
 //! two independent exact `(time, key)` queues. It runs at most 30 flows
-//! on 6×6 fabrics and has no fault model; `des_pinned.rs` pins the
-//! engine at benchmark scale and under link blackouts.
+//! on 6×6 fabrics; `des_pinned.rs` pins the engine at benchmark scale.
 
 use std::collections::VecDeque;
 
 use netsim::{
-    simulate_with_scratch, simulate_with_table, CalendarQueue, Flow, RouteTable, SimConfig,
-    SimReport, SimScratch,
+    simulate_faulty_with_scratch, simulate_with_scratch, simulate_with_table, CalendarQueue, Flow,
+    LinkFaults, RouteTable, SimConfig, SimReport, SimScratch,
 };
 use proptest::prelude::*;
-use topology::{floret, kite, mesh2d, HwParams, NodeId, Topology};
+use topology::{floret, kite, mesh2d, HwParams, LinkId, NodeId, Topology};
 
 /// AoS packet record, as the pre-arena engine stored it.
 struct Packet {
@@ -54,21 +57,44 @@ fn percentile_nearest_rank(sorted: &[u64], pct: u64) -> u64 {
     sorted[rank - 1]
 }
 
+/// Where a header arriving at `t` on a channel with raw fault `windows`
+/// may proceed: `None` when no window covers `t`, else the first cycle
+/// past the run of overlapping or touching windows that covers it.
+fn blocked_until(windows: &[(u64, u64)], t: u64) -> Option<u64> {
+    let mut at = t;
+    while let Some(end) = windows
+        .iter()
+        .filter(|&&(s, e)| s <= at && at < e)
+        .map(|&(_, e)| e)
+        .max()
+    {
+        at = end;
+    }
+    (at > t).then_some(at)
+}
+
 /// The pre-arena wait-queue simulator, end to end: AoS packet build
 /// (same flow/hop iteration order, so float energy sums agree exactly),
-/// a calendar-driven loop with `VecDeque` wait queues, and the same
-/// report arithmetic.
+/// a calendar-driven loop with `VecDeque` wait queues, fault deferral
+/// at every channel, and the same report arithmetic. `faults` lists
+/// `(link, start, end)` blackouts of both directions of a link.
 fn reference_simulate(
     topo: &Topology,
     hw: &HwParams,
     flows: &[Flow],
     cfg: &SimConfig,
     rt: &RouteTable,
+    faults: &[(LinkId, u64, u64)],
 ) -> SimReport {
     assert!(cfg.packet_bytes > 0);
     let n_links = topo.link_count();
     let ni_base = 2 * n_links;
     let n_channels = 2 * n_links + topo.node_count();
+    let mut windows: Vec<Vec<(u64, u64)>> = vec![Vec::new(); n_channels];
+    for &(lid, start, end) in faults {
+        windows[lid.0 as usize].push((start, end));
+        windows[lid.0 as usize + n_links].push((start, end));
+    }
 
     // --- AoS packet build ---------------------------------------------
     let mut packets: Vec<Packet> = Vec::new();
@@ -119,6 +145,8 @@ fn reference_simulate(
     let mut hop_latency_max = 0u64;
     let mut wait_total = 0u64;
     let mut heap_events = 0u64;
+    let mut fault_wait_total = 0u64;
+    let mut faulted_traversals = 0u64;
 
     for seq in 0..packets.len() {
         queue.push(0, header_key(seq as u32, 0));
@@ -162,6 +190,12 @@ fn reference_simulate(
                 continue;
             }
             let ch = p.channels[hop as usize] as usize;
+            if let Some(end) = blocked_until(&windows[ch], time) {
+                fault_wait_total += end - time;
+                faulted_traversals += 1;
+                queue.push(end, header_key(seq, hop));
+                continue;
+            }
             if busy_until[ch] <= time && waiters[ch].is_empty() {
                 acquire!(seq, hop, time, time);
             } else {
@@ -197,8 +231,8 @@ fn reference_simulate(
         max_hop_header_latency_cycles: hop_latency_max,
         total_channel_wait_cycles: wait_total,
         heap_events,
-        total_fault_wait_cycles: 0,
-        faulted_traversals: 0,
+        total_fault_wait_cycles: fault_wait_total,
+        faulted_traversals,
     }
 }
 
@@ -251,7 +285,7 @@ proptest! {
         let rt = RouteTable::build(&topo, &hw);
         let flows = flow_set(seed, n);
 
-        let expect = reference_simulate(&topo, &hw, &flows, &cfg, &rt);
+        let expect = reference_simulate(&topo, &hw, &flows, &cfg, &rt, &[]);
         let fresh = simulate_with_table(&topo, &hw, &flows, &cfg, &rt);
         prop_assert_eq!(&fresh, &expect);
 
@@ -266,9 +300,9 @@ proptest! {
         prop_assert_eq!(&dirty, &expect);
     }
 
-    /// A degenerate hardware config (`router_pipeline_cycles == 0`)
-    /// defeats the engine's time-0 burst fast path; the queued
-    /// fallback must still match the reference exactly.
+    /// With a zero NI delay (`router_pipeline_cycles == 0`) every
+    /// source's first first-link header lands at cycle 0, inside the
+    /// reference's time-0 burst; the engine must still match it exactly.
     #[test]
     fn burst_fallback_matches_reference(
         topo_idx in 0usize..3,
@@ -280,8 +314,76 @@ proptest! {
         let cfg = SimConfig::default();
         let rt = RouteTable::build(&topo, &hw);
         let flows = flow_set(seed, n);
-        let expect = reference_simulate(&topo, &hw, &flows, &cfg, &rt);
+        let expect = reference_simulate(&topo, &hw, &flows, &cfg, &rt, &[]);
         prop_assert_eq!(simulate_with_table(&topo, &hw, &flows, &cfg, &rt), expect);
+    }
+}
+
+/// `(link, start, end)` blackouts on `topo`, one per random word of
+/// `raw`: a link, a window open at cycle 0 (so first-link headers defer)
+/// or from a later start, and a length (0 makes an empty window), so
+/// windows also overlap and touch. With `all_links`, every link is also
+/// blacked out from cycle 0.
+fn blackouts(topo: &Topology, raw: &[u64], all_links: bool) -> Vec<(LinkId, u64, u64)> {
+    let link =
+        |i: u64| LinkId(u32::try_from(i % topo.link_count() as u64).expect("link id fits u32"));
+    let mut windows: Vec<(LinkId, u64, u64)> = raw
+        .iter()
+        .map(|&w| {
+            let start = if w >> 9 & 1 == 1 {
+                0
+            } else {
+                (w >> 10) % 3_000
+            };
+            (link(w & 0x1FF), start, start + (w >> 22) % 1_500)
+        })
+        .collect();
+    if all_links {
+        windows.extend((0..topo.link_count() as u64).map(|l| (link(l), 0, 40)));
+    }
+    windows
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(48))]
+
+    /// Under random link blackouts, on both an NI delay of 4 cycles and
+    /// of 0 (first-link headers at cycle 0), the engine reproduces the
+    /// reference's `SimReport` exactly, with a fresh scratch and with one
+    /// dirtied by an earlier faulty run.
+    #[test]
+    fn engine_matches_reference_under_blackouts(
+        topo_idx in 0usize..3,
+        seed in 0u64..10_000,
+        n in 0usize..30,
+        pb_idx in 0usize..3,
+        rp_idx in 0usize..2,
+        raw in prop::collection::vec(any::<u64>(), 0..12),
+        all_links in any::<bool>(),
+    ) {
+        let topo = arb_topology(topo_idx);
+        let hw = HwParams {
+            router_pipeline_cycles: [0, 4][rp_idx],
+            ..HwParams::default()
+        };
+        let cfg = SimConfig { packet_bytes: [64u32, 256, 1024][pb_idx] };
+        let rt = RouteTable::build(&topo, &hw);
+        let flows = flow_set(seed, n);
+        let windows = blackouts(&topo, &raw, all_links);
+        let faults = LinkFaults::from_link_windows(&topo, &windows);
+
+        let expect = reference_simulate(&topo, &hw, &flows, &cfg, &rt, &windows);
+        let mut scratch = SimScratch::new();
+        let fresh = simulate_faulty_with_scratch(&topo, &hw, &flows, &cfg, &rt, &faults, &mut scratch);
+        prop_assert_eq!(&fresh, &expect);
+
+        let other = blackouts(&topo, &raw[raw.len() / 2..], !all_links);
+        simulate_faulty_with_scratch(
+            &topo, &hw, &flow_set(seed ^ 0x5DEECE66D, 24), &cfg, &rt,
+            &LinkFaults::from_link_windows(&topo, &other), &mut scratch,
+        );
+        let dirty = simulate_faulty_with_scratch(&topo, &hw, &flows, &cfg, &rt, &faults, &mut scratch);
+        prop_assert_eq!(&dirty, &expect);
     }
 }
 
@@ -299,7 +401,7 @@ fn scratch_sequence_tracks_reference() {
             packet_bytes: [128u32, 1024, 4096][step as usize % 3],
         };
         let flows = flow_set(step * 977, 4 + (step as usize * 5) % 26);
-        let expect = reference_simulate(&topo, &hw, &flows, &cfg, &rt);
+        let expect = reference_simulate(&topo, &hw, &flows, &cfg, &rt, &[]);
         let got = simulate_with_scratch(&topo, &hw, &flows, &cfg, &rt, &mut scratch);
         assert_eq!(got, expect, "diverged at step {step}");
     }

@@ -8,17 +8,19 @@
 //! [`SimReport`] field is pinned bit for bit (floats through `to_bits`),
 //! for
 //!
-//! * (a) the default hardware, where the time-0 burst takes the direct
-//!   dispatch path;
-//! * (b) `router_pipeline_cycles: 0`, where the whole burst goes through
-//!   the event queue;
+//! * (a) the default hardware (a 4-cycle NI delay);
+//! * (b) `router_pipeline_cycles: 0`, where each source's first
+//!   first-link header lands at cycle 0, the instant of the injection
+//!   burst;
 //! * (c) case (a) under link blackouts: overlapping and touching windows,
 //!   windows that open mid-run, and one that reaches far past the healthy
 //!   makespan, so fault deferrals push events deep into the future.
 //!
-//! The values were recorded with the calendar-queue scheduler. Any exact
-//! `(time, key)` min-queue pops events in the same order, so a scheduler
-//! change must reproduce them unchanged.
+//! The values were recorded with the calendar-queue scheduler, when
+//! every NI grant and every delivery was still an event on the queue.
+//! Any exact `(time, key)` min-queue pops events in the same order, and
+//! taking events off the queue must not move a single one of them, so a
+//! scheduler change must reproduce them unchanged.
 
 use netsim::{
     simulate_faulty_with_scratch, simulate_with_table, Flow, LinkFaults, RouteTable, SimConfig,
