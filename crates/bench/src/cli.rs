@@ -38,7 +38,7 @@ USAGE:
 
 PERF OPTIONS:
     --quick                   CI scenario: WL1 only (full Table II otherwise)
-    --out <path>              where to write the JSON (default: BENCH_16.json)
+    --out <path>              where to write the JSON (default: BENCH_17.json)
     --max-seconds <N>         fail (exit 1) if the optimized run-all exceeds N s
     --gate <baseline.json>    fail (exit 1) on >25% regression in the
                               fig3/dataflows/mapping_search cells vs the committed baseline
@@ -150,7 +150,7 @@ pub fn parse(args: &[String]) -> Result<Command, CliError> {
         }
         "perf" => {
             let mut quick = false;
-            let mut out = "BENCH_16.json".to_string();
+            let mut out = "BENCH_17.json".to_string();
             let mut max_seconds = None;
             let mut gate = None;
             let mut it = args[1..].iter();

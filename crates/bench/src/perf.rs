@@ -7,7 +7,7 @@
 //! bypassed, the seed's reference Gauss-Seidel solver) — plus solver and
 //! DES, serving and mapping-search micro-benchmarks, and writes the
 //! result as JSON
-//! (`BENCH_16.json` at the repo root is the committed baseline of this
+//! (`BENCH_17.json` at the repo root is the committed baseline of this
 //! PR). Future PRs
 //! append `BENCH_<n>.json` files, giving every change a comparable,
 //! scripted perf record instead of hand-waved claims.
@@ -181,7 +181,7 @@ pub struct CacheSummary {
 pub struct PerfReport {
     /// Schema tag for downstream tooling.
     pub schema: &'static str,
-    /// The PR number this baseline belongs to (`BENCH_16.json`).
+    /// The PR number this baseline belongs to (`BENCH_17.json`).
     pub bench_pr: u32,
     /// Whether the quick (CI) scenario was used.
     pub quick: bool,
@@ -507,7 +507,7 @@ pub fn run(quick: bool) -> Result<PerfReport, ScenarioError> {
 
     Ok(PerfReport {
         schema: "pim-bench-perf-v1",
-        bench_pr: 16,
+        bench_pr: 17,
         quick,
         threads,
         experiments,
@@ -766,7 +766,7 @@ mod tests {
             .collect();
         PerfReport {
             schema: "pim-bench-perf-v1",
-            bench_pr: 16,
+            bench_pr: 17,
             quick,
             threads: 1,
             experiments,

@@ -2,9 +2,11 @@
 //! and `pim-bench run table1 --format json`, and validates the JSON
 //! with the vendored `serde_json` round-trip helper (parse + compact
 //! re-render), so `--format json` can never emit text that a JSON
-//! consumer would reject.
+//! consumer would reject. Degenerate and oversized `--set` overrides
+//! must exit 1 promptly with a typed config error.
 
-use std::process::Command;
+use std::process::{Command, Stdio};
+use std::time::{Duration, Instant};
 
 mod common;
 use common::run_cli;
@@ -60,4 +62,45 @@ fn config_rejections_surface_as_clean_cli_errors() {
     assert_eq!(out.status.code(), Some(1));
     let stderr = String::from_utf8_lossy(&out.stderr);
     assert!(stderr.contains("sim_sampling"), "{stderr}");
+}
+
+#[test]
+fn oversized_inputs_exit_promptly_with_a_config_error() {
+    // Each override once sized a route table or the packet simulator's
+    // arena past available memory (an abort) or ran for minutes; the
+    // validator must reject it before any platform is built.
+    let probes = [
+        ("batch=4294967295", "`batch` must be <= 1024"),
+        ("batch=1000000", "`batch` must be <= 1024"),
+        (
+            "activation_bytes=1000000000000",
+            "`activation_bytes` must be <= 8",
+        ),
+        ("width=65535", "`width` must be <= 32"),
+        ("height=65535", "`height` must be <= 32"),
+    ];
+    for (set, expected) in probes {
+        let mut child = Command::new(env!("CARGO_BIN_EXE_pim-bench"))
+            .args(["run", "fig3", "--workload", "WL1", "--arch", "Kite"])
+            .args(["--set", set])
+            .stdout(Stdio::null())
+            .stderr(Stdio::piped())
+            .spawn()
+            .expect("pim-bench spawns");
+        let deadline = Instant::now() + Duration::from_secs(20);
+        while child.try_wait().expect("pim-bench waits").is_none() {
+            if Instant::now() > deadline {
+                child.kill().ok();
+                panic!("`--set {set}` still running after 20 s");
+            }
+            std::thread::sleep(Duration::from_millis(10));
+        }
+        let out = child.wait_with_output().expect("pim-bench exits");
+        let stderr = String::from_utf8_lossy(&out.stderr);
+        assert_eq!(out.status.code(), Some(1), "`--set {set}`: {stderr}");
+        assert!(
+            stderr.contains("invalid config") && stderr.contains(expected),
+            "`--set {set}`: {stderr}"
+        );
+    }
 }

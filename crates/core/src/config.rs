@@ -9,16 +9,26 @@ use serde::{Deserialize, Serialize};
 use thermal::ThermalConfig;
 use topology::HwParams;
 
-/// Typed rejection of a degenerate or unparseable [`SystemConfig`].
+/// Typed rejection of a degenerate, oversized or unparseable
+/// [`SystemConfig`].
 ///
 /// Returned by [`SystemConfig::validate`] and
 /// [`SystemConfigBuilder::set`] instead of letting zero grid dimensions,
 /// `sim_sampling == 0` or `snapshot_every == 0` panic (division/modulo
-/// by zero) deep inside the platforms.
+/// by zero) deep inside the platforms, or an oversized grid or traffic
+/// volume exhaust memory in the route table or the packet simulator.
 #[derive(Clone, Debug, PartialEq, Eq)]
 pub enum ConfigError {
     /// A field that must be strictly positive is zero.
     ZeroField(&'static str),
+    /// A field exceeds its documented maximum (see
+    /// [`SystemConfig::validate`]).
+    TooLarge {
+        /// The offending field.
+        field: &'static str,
+        /// The largest accepted value.
+        max: u64,
+    },
     /// `--set key=value` named a key the builder does not know.
     UnknownKey(String),
     /// `--set key=value` value failed to parse for its key's type.
@@ -36,6 +46,9 @@ impl fmt::Display for ConfigError {
             ConfigError::ZeroField(field) => {
                 write!(f, "config field `{field}` must be > 0")
             }
+            ConfigError::TooLarge { field, max } => {
+                write!(f, "config field `{field}` must be <= {max}")
+            }
             ConfigError::UnknownKey(key) => {
                 write!(
                     f,
@@ -51,12 +64,21 @@ impl fmt::Display for ConfigError {
 
 impl std::error::Error for ConfigError {}
 
+/// Largest accepted `width` and `height`. An override applies to the
+/// four-tier 3D stack too, where `run fig7` peaks at ~2 GiB of RSS at
+/// 64 x 64 and ~130 MiB at 32 x 32.
+const MAX_GRID_SIDE: u64 = 32;
+/// Largest accepted `batch`: 128x the paper's 8 streams.
+const MAX_BATCH: u64 = 1024;
+/// Largest accepted `activation_bytes`: a 64-bit element.
+const MAX_ACTIVATION_BYTES: u64 = 8;
+
 /// Full configuration of a PIM-enabled manycore system.
 #[derive(Clone, Debug, PartialEq, Serialize, Deserialize)]
 pub struct SystemConfig {
-    /// Chiplet/PE grid width.
+    /// Chiplet/PE grid width (at most 32).
     pub width: u16,
-    /// Chiplet/PE grid height.
+    /// Chiplet/PE grid height (at most 32).
     pub height: u16,
     /// Tiers (1 for 2.5D interposer systems).
     pub tiers: u16,
@@ -67,7 +89,8 @@ pub struct SystemConfig {
     pub pim: PimConfig,
     /// Thermal network (3D systems).
     pub thermal: ThermalConfig,
-    /// Bytes per activation element on the NoI (8-bit inference).
+    /// Bytes per activation element on the NoI (8-bit inference; at
+    /// most 8).
     pub activation_bytes: u64,
     /// Traffic sampling divisor for the discrete-event simulator: flows
     /// are scaled by `1/sim_sampling` before simulation. Relative
@@ -75,7 +98,7 @@ pub struct SystemConfig {
     /// un-sampled through the analytical model.
     pub sim_sampling: u64,
     /// Concurrent inference streams (batch) driving the 3D power model
-    /// and the per-task NoI traffic volume.
+    /// and the per-task NoI traffic volume (at most 1024).
     pub batch: u32,
     /// Simulate every N-th resident-set snapshot of the churn schedule
     /// (the last snapshot is always simulated).
@@ -147,11 +170,15 @@ impl SystemConfig {
     /// (division by zero scaling traffic), `snapshot_every == 0` (modulo
     /// by zero in the churn schedule), plus zero `batch`,
     /// `activation_bytes` and `pim.crossbars_per_node` (no traffic / no
-    /// capacity).
+    /// capacity). It also bounds the fields that size the route table
+    /// and the simulated traffic: `width` and `height` at most 32,
+    /// `batch` at most 1024 and `activation_bytes` at most 8. Larger
+    /// values would exhaust memory instead of failing.
     ///
     /// # Errors
     ///
-    /// [`ConfigError::ZeroField`] naming the first offending field.
+    /// [`ConfigError::ZeroField`] naming the first zero field, else
+    /// [`ConfigError::TooLarge`] naming the first field over its maximum.
     pub fn validate(&self) -> Result<(), ConfigError> {
         let positives: [(&'static str, u64); 7] = [
             ("width", u64::from(self.width)),
@@ -169,6 +196,21 @@ impl SystemConfig {
         }
         if self.pim.crossbars_per_node == 0 {
             return Err(ConfigError::ZeroField("pim.crossbars_per_node"));
+        }
+        let bounded: [(&'static str, u64, u64); 4] = [
+            ("width", u64::from(self.width), MAX_GRID_SIDE),
+            ("height", u64::from(self.height), MAX_GRID_SIDE),
+            ("batch", u64::from(self.batch), MAX_BATCH),
+            (
+                "activation_bytes",
+                self.activation_bytes,
+                MAX_ACTIVATION_BYTES,
+            ),
+        ];
+        for (field, v, max) in bounded {
+            if v > max {
+                return Err(ConfigError::TooLarge { field, max });
+            }
         }
         Ok(())
     }
@@ -354,6 +396,26 @@ mod tests {
     }
 
     #[test]
+    fn validate_rejects_each_oversized_field() {
+        // Each bounded field accepts its maximum and rejects one more
+        // with a typed error naming the field and the limit.
+        type Poke = fn(&mut SystemConfig, u64);
+        let cases: [(&str, u64, Poke); 4] = [
+            ("width", 32, |c, v| c.width = u16::try_from(v).unwrap()),
+            ("height", 32, |c, v| c.height = u16::try_from(v).unwrap()),
+            ("batch", 1024, |c, v| c.batch = u32::try_from(v).unwrap()),
+            ("activation_bytes", 8, |c, v| c.activation_bytes = v),
+        ];
+        for (field, max, poke) in cases {
+            let mut cfg = SystemConfig::datacenter_25d();
+            poke(&mut cfg, max);
+            assert_eq!(cfg.validate(), Ok(()), "{field} = {max}");
+            poke(&mut cfg, max + 1);
+            assert_eq!(cfg.validate(), Err(ConfigError::TooLarge { field, max }));
+        }
+    }
+
+    #[test]
     fn builder_sets_every_documented_key() {
         let mut b = SystemConfig::datacenter_25d().builder();
         for key in SystemConfigBuilder::KEYS {
@@ -398,6 +460,11 @@ mod tests {
         assert!(ConfigError::ZeroField("width")
             .to_string()
             .contains("width"));
+        let e = ConfigError::TooLarge {
+            field: "batch",
+            max: 1024,
+        };
+        assert!(e.to_string().contains("batch") && e.to_string().contains("1024"));
         assert!(ConfigError::UnknownKey("xyz".into())
             .to_string()
             .contains("xyz"));

@@ -7,7 +7,7 @@
 //! balancer spreads the merged stream over a fleet of `N` identical
 //! chips; each chip runs dynamic batching with a max-delay window and a
 //! bounded admission queue. One event loop simulates the whole fleet on
-//! the bucketed [`netsim::CalendarQueue`] (shared with the packet DES):
+//! the bucketed [`netsim::CalendarQueue`]:
 //! [`simulate_resilient_serving`] replays a [`FaultPlan`] of chip
 //! outages and throttling with retries, failover and shedding, and
 //! [`simulate_serving`] is the same loop on a healthy fleet. Each chip

@@ -31,10 +31,11 @@
 //! acquisition), including those computed without the heap.
 //!
 //! All simulator state is arena-backed SoA held in a reusable
-//! [`SimScratch`]: packet hop records live in flat vectors sliced by a
-//! per-packet offset table, and wait-queue nodes come from a pooled
-//! free-list chained by index — no per-packet heap allocation, and a warm
-//! scratch runs the whole simulation without allocating at all.
+//! [`SimScratch`]: hop records are stored once per flow, in flat vectors
+//! sliced by a per-flow offset table, and each packet names its flow;
+//! wait-queue nodes come from a pooled free-list chained by index — no
+//! per-packet heap allocation, and a warm scratch runs the whole
+//! simulation without allocating at all.
 
 use std::cmp::Reverse;
 use std::collections::BinaryHeap;
@@ -216,21 +217,25 @@ struct WaitNode {
     next: u32,
 }
 
-/// Arena-backed SoA packet storage. The hop records of every packet of a
-/// run live in two flat vectors (`channels`, `hop_delay`) sliced by the
-/// `offsets` table, so segmenting a flow into packets appends to four
-/// vectors instead of allocating two boxed `Vec`s per packet.
+/// Arena-backed SoA packet storage. Every packet of a flow follows the
+/// flow's route, so the hop records (`channels`, `hop_delay`) are stored
+/// once per flow, sliced by the `flow_offsets` table; a packet keeps only
+/// its flow index, serialization time and delivery cycle. Segmenting a
+/// flow into packets appends three scalars per packet and one route per
+/// flow, and hop `h` of packet `s` is record `flow_offsets[flow[s]] + h`.
 // pim-lint: scratch
 #[derive(Default)]
 struct PacketArena {
-    /// `offsets[i]..offsets[i + 1]` bounds packet `i`'s hop records;
-    /// always one longer than the packet count.
-    offsets: Vec<u32>,
+    /// `flow_offsets[f]..flow_offsets[f + 1]` bounds flow `f`'s hop
+    /// records; always one longer than the stored flow count.
+    flow_offsets: Vec<u32>,
     /// Channel id of each traversal: the source NI, then directed links
     /// (at least one: flows with `src == dst` produce no packets).
     channels: Vec<u32>,
     /// Header delay of each traversal.
     hop_delay: Vec<u64>,
+    /// Per packet: the index of its flow in `flow_offsets`.
+    flow: Vec<u32>,
     ser_cycles: Vec<u64>,
     /// Delivery cycle of each packet; 0 until its last channel is granted.
     delivered_at: Vec<u64>,
@@ -238,10 +243,11 @@ struct PacketArena {
 
 impl PacketArena {
     fn clear(&mut self) {
-        self.offsets.clear();
-        self.offsets.push(0);
+        self.flow_offsets.clear();
+        self.flow_offsets.push(0);
         self.channels.clear();
         self.hop_delay.clear();
+        self.flow.clear();
         self.ser_cycles.clear();
         self.delivered_at.clear();
     }
@@ -252,12 +258,14 @@ impl PacketArena {
 
     /// First hop-record index of packet `seq`.
     fn start(&self, seq: usize) -> usize {
-        self.offsets[seq] as usize
+        self.flow_offsets[self.flow[seq] as usize] as usize
     }
 
-    /// Number of channel traversals of packet `seq`.
-    fn hops(&self, seq: usize) -> usize {
-        (self.offsets[seq + 1] - self.offsets[seq]) as usize
+    /// Hop-record indices of packet `seq`: its flow's records, one per
+    /// channel traversal.
+    fn records(&self, seq: usize) -> std::ops::Range<usize> {
+        let f = self.flow[seq] as usize;
+        self.flow_offsets[f] as usize..self.flow_offsets[f + 1] as usize
     }
 }
 
@@ -308,8 +316,10 @@ pub struct SimScratch {
     /// Pending `(time, order_key)` events, earliest first.
     queue: BinaryHeap<Reverse<(u64, u64)>>,
     stats: LoopStats,
-    latencies: Vec<u64>,
     path: Vec<LinkId>,
+    /// Per-traversal energies of one packet of the flow being built (the
+    /// destination router's last), summed once per packet.
+    hop_energy: Vec<f64>,
 }
 
 impl Default for SimScratch {
@@ -338,8 +348,8 @@ impl SimScratch {
             free_node: NIL,
             queue: BinaryHeap::new(),
             stats: LoopStats::default(),
-            latencies: Vec::new(),
             path: Vec::new(),
+            hop_energy: Vec::new(),
         }
     }
 
@@ -349,8 +359,8 @@ impl SimScratch {
     /// invariant-documenting form the `scratch-reset` lint checks.
     pub fn reset(&mut self) {
         self.arena.clear();
-        self.latencies.clear();
         self.path.clear();
+        self.hop_energy.clear();
         self.reset_engine(0);
     }
 
@@ -473,13 +483,14 @@ impl SimScratch {
     /// hop, or records the delivery when that was the last channel.
     fn acquire(&mut self, seq: u32, hop: u16, now: u64, arrived: u64) {
         let s = seq as usize;
-        let start = self.arena.start(s);
-        let ch = self.arena.channels[start + hop as usize] as usize;
+        let records = self.arena.records(s);
+        let rec = records.start + hop as usize;
+        let ch = self.arena.channels[rec] as usize;
         let ser = self.arena.ser_cycles[s];
         self.busy_until[ch] = now + ser;
-        let header_arrives = now + self.arena.hop_delay[start + hop as usize];
+        let header_arrives = now + self.arena.hop_delay[rec];
         self.stats.traverse(arrived, now, header_arrives);
-        if hop as usize + 1 < self.arena.hops(s) {
+        if rec + 1 < records.end {
             self.schedule(header_arrives, EventKind::Header { seq, hop: hop + 1 });
         } else {
             // The tail drains one serialization window after the header
@@ -547,18 +558,25 @@ fn assert_hop_field_fits(links: usize) {
     topology::narrow::u16_idx(links + 1);
 }
 
-/// Segments `flows` into packets with per-hop channel ids and delays,
-/// appending to the arena. Flows with `src == dst` or zero bytes carry
-/// no traffic and produce no packets (and contribute no energy).
+/// Segments `flows` into packets in the scratch's arena: each flow's
+/// route is walked once into per-hop channel ids and delays, then one
+/// packet per `packet_bytes` slice names the flow. Flows with
+/// `src == dst` or zero bytes carry no traffic and produce no packets
+/// (and contribute no energy).
 fn build_packets_into(
     topo: &Topology,
     hw: &HwParams,
     flows: &[Flow],
     cfg: &SimConfig,
     rt: &RouteTable,
-    arena: &mut PacketArena,
-    path: &mut Vec<LinkId>,
+    scratch: &mut SimScratch,
 ) -> (f64, u64) {
+    let SimScratch {
+        arena,
+        path,
+        hop_energy,
+        ..
+    } = scratch;
     let n_links = topo.link_count();
     let ni_base = 2 * n_links;
     let channel_of = |lid: LinkId, from: NodeId| -> u32 {
@@ -569,10 +587,24 @@ fn build_packets_into(
             lid.0 + topology::narrow::u32_idx(n_links)
         }
     };
+    // Per-traversal energies of one `bits`-bit packet along `path`, in
+    // the order the energy total adds them: each link hop, then the
+    // destination router.
+    let energies_into = |f: &Flow, path: &[LinkId], bits: u64, out: &mut Vec<f64>| {
+        out.clear();
+        let mut at = f.src;
+        for lid in path {
+            let link = topo.link(*lid);
+            out.push(hw.hop_energy_pj(bits, topo.ports(at), link.length_hops));
+            at = link.opposite(at);
+        }
+        out.push(bits as f64 * hw.router_energy_pj_per_bit(topo.ports(f.dst)));
+    };
 
     arena.clear();
     let mut energy_pj = 0.0f64;
     let mut flit_hops = 0u64;
+    let packet_bytes = cfg.packet_bytes as u64;
     for f in flows {
         if f.src == f.dst || f.bytes == 0 {
             continue;
@@ -581,32 +613,42 @@ fn build_packets_into(
         // routing never allocates once the buffer is warm.
         rt.path_into(topo, f.src, f.dst, path);
         assert_hop_field_fits(path.len());
-        let mut remaining = f.bytes;
-        while remaining > 0 {
-            let size = remaining.min(cfg.packet_bytes as u64);
-            remaining -= size;
-            let flits = size.div_ceil(hw.flit_bytes as u64).max(1);
-            let bits = size * 8;
-            // NI injection: router pipeline to enter the network.
-            arena
-                .channels
-                .push(topology::narrow::u32_idx(ni_base) + f.src.0);
-            arena.hop_delay.push(hw.router_pipeline_cycles as u64);
-            let mut at = f.src;
-            for lid in path.iter() {
-                let link = topo.link(*lid);
-                arena.channels.push(channel_of(*lid, at));
-                arena.hop_delay.push(hw.hop_cycles(link.length_hops));
-                energy_pj += hw.hop_energy_pj(bits, topo.ports(at), link.length_hops);
-                flit_hops += flits;
-                at = link.opposite(at);
+        let flow = topology::narrow::u32_idx(arena.flow_offsets.len() - 1);
+        // NI injection: router pipeline to enter the network.
+        arena
+            .channels
+            .push(topology::narrow::u32_idx(ni_base) + f.src.0);
+        arena.hop_delay.push(hw.router_pipeline_cycles as u64);
+        let mut at = f.src;
+        for lid in path.iter() {
+            let link = topo.link(*lid);
+            arena.channels.push(channel_of(*lid, at));
+            arena.hop_delay.push(hw.hop_cycles(link.length_hops));
+            at = link.opposite(at);
+        }
+        arena
+            .flow_offsets
+            .push(topology::narrow::u32_idx(arena.channels.len()));
+
+        // Full packets first, then the partial tail (if any); each size
+        // gets its own energies, summed per packet in traversal order so
+        // the total is bit-identical to a per-hop accumulation.
+        let (full, tail) = (f.bytes / packet_bytes, f.bytes % packet_bytes);
+        for (size, count) in [(packet_bytes, full), (tail, u64::from(tail > 0))] {
+            if count == 0 {
+                continue;
             }
-            energy_pj += bits as f64 * hw.router_energy_pj_per_bit(topo.ports(f.dst));
-            arena
-                .offsets
-                .push(topology::narrow::u32_idx(arena.channels.len()));
-            arena.ser_cycles.push(flits);
-            arena.delivered_at.push(0);
+            let flits = size.div_ceil(hw.flit_bytes as u64).max(1);
+            energies_into(f, path, size * 8, hop_energy);
+            for _ in 0..count {
+                for &e in hop_energy.iter() {
+                    energy_pj += e;
+                }
+                flit_hops += flits * path.len() as u64;
+                arena.flow.push(flow);
+                arena.ser_cycles.push(flits);
+                arena.delivered_at.push(0);
+            }
         }
     }
     (energy_pj, flit_hops)
@@ -696,14 +738,11 @@ pub fn simulate_faulty_with_scratch(
     scratch: &mut SimScratch,
 ) -> SimReport {
     assert!(cfg.packet_bytes > 0, "packet size must be positive");
-    let (energy_pj, flit_hops) = {
-        let SimScratch { arena, path, .. } = scratch;
-        build_packets_into(topo, hw, flows, cfg, rt, arena, path)
-    };
+    let (energy_pj, flit_hops) = build_packets_into(topo, hw, flows, cfg, rt, scratch);
     let n_channels = 2 * topo.link_count() + topo.node_count();
     run_event_loop(scratch, n_channels, faults);
 
-    let delivered_at = &scratch.arena.delivered_at;
+    let delivered_at = &mut scratch.arena.delivered_at;
     let packets = delivered_at.len() as u64;
     let makespan = delivered_at.iter().copied().max().unwrap_or(0);
     let mean = if packets == 0 {
@@ -711,13 +750,14 @@ pub fn simulate_faulty_with_scratch(
     } else {
         delivered_at.iter().sum::<u64>() as f64 / packets as f64
     };
-    scratch.latencies.clear();
-    scratch.latencies.extend_from_slice(delivered_at);
+    // Selection reorders `delivered_at`, so it runs after every other
+    // read of it.
+    let p95 = percentile_nearest_rank(delivered_at, 95);
     let stats = &scratch.stats;
     SimReport {
         makespan_cycles: makespan,
         mean_packet_latency_cycles: mean,
-        p95_packet_latency_cycles: percentile_nearest_rank(&mut scratch.latencies, 95),
+        p95_packet_latency_cycles: p95,
         packets,
         flit_hops,
         total_energy_pj: energy_pj,
@@ -761,20 +801,19 @@ mod tests {
         cfg: &SimConfig,
         rt: &RouteTable,
     ) -> (PacketArena, f64, u64) {
-        let mut arena = PacketArena::default();
-        let mut path = Vec::new();
-        let (energy, flits) = build_packets_into(topo, hw, flows, cfg, rt, &mut arena, &mut path);
-        (arena, energy, flits)
+        let mut st = SimScratch::new();
+        let (energy, flits) = build_packets_into(topo, hw, flows, cfg, rt, &mut st);
+        (st.arena, energy, flits)
     }
 
+    /// Expands the per-flow hop records into one owned copy per packet.
     fn arena_to_aos(arena: &PacketArena) -> Vec<Packet> {
         (0..arena.len())
             .map(|s| {
-                let lo = arena.start(s);
-                let hi = lo + arena.hops(s);
+                let records = arena.records(s);
                 Packet {
-                    channels: arena.channels[lo..hi].to_vec(),
-                    hop_delay: arena.hop_delay[lo..hi].to_vec(),
+                    channels: arena.channels[records.clone()].to_vec(),
+                    hop_delay: arena.hop_delay[records].to_vec(),
                     ser_cycles: arena.ser_cycles[s],
                     delivered_at: arena.delivered_at[s],
                 }
@@ -947,10 +986,58 @@ mod tests {
     }
 
     #[test]
-    fn zero_first_hop_delay_falls_back_to_queue() {
+    fn multi_packet_flow_stores_hop_records_once() {
+        // A 5-packet flow (four full packets and a partial tail) and a
+        // 1-packet flow over 2-link paths: one NI + 2 link records per
+        // flow, however many packets share them.
+        let topo = mesh5();
+        let hw = HwParams::default();
+        let cfg = SimConfig::default();
+        let rt = RouteTable::build(&topo, &hw);
+        let src = topo.node_at(Coord::new2(0, 0)).unwrap();
+        let dst = topo.node_at(Coord::new2(2, 0)).unwrap();
+        let flows = [Flow::new(src, dst, 5000), Flow::new(dst, src, 64)];
+        let (arena, energy, flit_hops) = build_packets(&topo, &hw, &flows, &cfg, &rt);
+        assert_eq!(arena.len(), 6);
+        assert_eq!(arena.channels.len(), 2 * 3, "hop records per flow");
+        assert_eq!(arena.hop_delay.len(), 2 * 3, "hop records per flow");
+        let packets = arena_to_aos(&arena);
+        for p in &packets[1..5] {
+            assert_eq!(p.channels, packets[0].channels);
+            assert_eq!(p.hop_delay, packets[0].hop_delay);
+        }
+        assert_ne!(packets[5].channels, packets[0].channels);
+        let sers: Vec<u64> = packets.iter().map(|p| p.ser_cycles).collect();
+        assert_eq!(sers, [32, 32, 32, 32, 29, 2]);
+        assert_eq!(flit_hops, 2 * (4 * 32 + 29 + 2));
+
+        // The energy total equals a per-packet, per-hop accumulation in
+        // traversal order, bit for bit (the tail packet included).
+        let mut expected = 0.0f64;
+        for (f, sizes) in [
+            (&flows[0], &[1024, 1024, 1024, 1024, 904][..]),
+            (&flows[1], &[64]),
+        ] {
+            let mut path = Vec::new();
+            rt.path_into(&topo, f.src, f.dst, &mut path);
+            for &size in sizes {
+                let bits = size * 8;
+                let mut at = f.src;
+                for lid in &path {
+                    let link = topo.link(*lid);
+                    expected += hw.hop_energy_pj(bits, topo.ports(at), link.length_hops);
+                    at = link.opposite(at);
+                }
+                expected += bits as f64 * hw.router_energy_pj_per_bit(topo.ports(f.dst));
+            }
+        }
+        assert_eq!(energy.to_bits(), expected.to_bits());
+    }
+
+    #[test]
+    fn zero_ni_delay_burst_matches_retry_polling_reference() {
         // router_pipeline_cycles = 0 puts every source's first first-link
-        // header at cycle 0, the instant of the injection burst (the name
-        // is older than the injection pass: no fallback path exists). The
+        // header at cycle 0, the instant of the injection burst. The
         // burst must still order exactly like the reference retry-polling
         // loop on a contention-free pattern.
         let topo = mesh5();
