@@ -4,10 +4,12 @@
 //! One invocation times every registered experiment twice in the same
 //! process — once on the optimized path (shared [`pim_core::EvalCache`],
 //! red-black SOR thermal solver) and once on the baseline path (cache
-//! bypassed, the seed's reference Gauss-Seidel solver) — plus solver and
+//! bypassed, the seed's reference Gauss-Seidel solver; its snapshot DES
+//! still runs by channel-disjoint component, only without the memo) —
+//! plus solver and
 //! DES, serving and mapping-search micro-benchmarks, and writes the
 //! result as JSON
-//! (`BENCH_17.json` at the repo root is the committed baseline of this
+//! (`BENCH_18.json` at the repo root is the committed baseline of this
 //! PR). Future PRs
 //! append `BENCH_<n>.json` files, giving every change a comparable,
 //! scripted perf record instead of hand-waved claims.
@@ -181,7 +183,7 @@ pub struct CacheSummary {
 pub struct PerfReport {
     /// Schema tag for downstream tooling.
     pub schema: &'static str,
-    /// The PR number this baseline belongs to (`BENCH_17.json`).
+    /// The PR number this baseline belongs to (`BENCH_18.json`).
     pub bench_pr: u32,
     /// Whether the quick (CI) scenario was used.
     pub quick: bool,
@@ -507,7 +509,7 @@ pub fn run(quick: bool) -> Result<PerfReport, ScenarioError> {
 
     Ok(PerfReport {
         schema: "pim-bench-perf-v1",
-        bench_pr: 17,
+        bench_pr: 18,
         quick,
         threads,
         experiments,
@@ -766,7 +768,7 @@ mod tests {
             .collect();
         PerfReport {
             schema: "pim-bench-perf-v1",
-            bench_pr: 17,
+            bench_pr: 18,
             quick,
             threads: 1,
             experiments,

@@ -8,6 +8,8 @@
 //! * `PIM_BENCH_CACHE_STATS=1` surfaces hit/miss counters in the output
 //!   notes, and the default rendering carries none (so the byte-pinned
 //!   goldens stay valid);
+//! * at one worker thread, the snapshot-DES component memo's counters of
+//!   the `noi_hifi` grid (`run fig3 --set sim_sampling=8`) are pinned;
 //! * every experiment of `run all --format json` matches its FNV-1a
 //!   digest in `tests/golden/run_all.digests.txt`, so all registry
 //!   entries are pinned, not only the ones with full-text goldens.
@@ -162,4 +164,45 @@ fn cache_stats_notes_are_opt_in() {
         "fig5 must replay fig3's 20 cells: {with_stats}"
     );
     assert!(with_stats.contains("config fingerprint"));
+}
+
+#[test]
+fn des_component_counters_are_pinned_at_one_thread() {
+    // The Fig. 3 grid at the `noi_hifi` sampling: 3,732 channel-disjoint
+    // components, 1,901 of them replayed from the memo, so the DES
+    // simulates 3,592,314 of the 6,397,148 packets a whole-snapshot run
+    // would. Above one thread two cells may both miss a component, so
+    // only the one-thread counts are fixed.
+    let out = run_cli_env(
+        &[
+            "run",
+            "fig3",
+            "--set",
+            "sim_sampling=8",
+            "--threads",
+            "1",
+            "--format",
+            "json",
+        ],
+        &[("PIM_BENCH_CACHE_STATS", "1")],
+    );
+    assert!(
+        out.contains(
+            "eval cache: 0 hits, 20 misses; DES components: 3732 runs, 1901 hits, \
+             3592314 packets simulated"
+        ),
+        "{out}"
+    );
+    // fig5 replays fig3's reports, so it runs no DES component at all.
+    let both = run_cli_env(
+        &["run", "fig3", "fig5", "--format", "json"],
+        &[("PIM_BENCH_CACHE_STATS", "1")],
+    );
+    assert!(
+        both.contains(
+            "eval cache: 20 hits, 0 misses; DES components: 0 runs, 0 hits, \
+             0 packets simulated"
+        ),
+        "{both}"
+    );
 }

@@ -3,7 +3,8 @@
 //! with the vendored `serde_json` round-trip helper (parse + compact
 //! re-render), so `--format json` can never emit text that a JSON
 //! consumer would reject. Degenerate and oversized `--set` overrides
-//! must exit 1 promptly with a typed config error.
+//! must exit 1 promptly with a typed config error, and so must products
+//! of fields over their budget and non-physical thermal or power values.
 
 use std::process::{Command, Stdio};
 use std::time::{Duration, Instant};
@@ -67,22 +68,48 @@ fn config_rejections_surface_as_clean_cli_errors() {
 #[test]
 fn oversized_inputs_exit_promptly_with_a_config_error() {
     // Each override once sized a route table or the packet simulator's
-    // arena past available memory (an abort) or ran for minutes; the
-    // validator must reject it before any platform is built.
-    let probes = [
-        ("batch=4294967295", "`batch` must be <= 1024"),
-        ("batch=1000000", "`batch` must be <= 1024"),
+    // arena past available memory (an abort), ran for minutes, or gave
+    // non-physical temperatures with exit 0; the validator must reject it
+    // before any platform is built.
+    const CELL: [&str; 6] = ["run", "fig3", "--workload", "WL1", "--arch", "Kite"];
+    let probes: [(&[&str], &[&str], &str); 9] = [
+        (&CELL, &["batch=4294967295"], "`batch` must be <= 1024"),
+        (&CELL, &["batch=1000000"], "`batch` must be <= 1024"),
         (
-            "activation_bytes=1000000000000",
+            &CELL,
+            &["activation_bytes=1000000000000"],
             "`activation_bytes` must be <= 8",
         ),
-        ("width=65535", "`width` must be <= 32"),
-        ("height=65535", "`height` must be <= 32"),
+        (&CELL, &["width=65535"], "`width` must be <= 32"),
+        (&CELL, &["height=65535"], "`height` must be <= 32"),
+        (
+            &CELL,
+            &["batch=1024", "activation_bytes=8", "sim_sampling=1"],
+            "`batch * activation_bytes <= 16 * sim_sampling` exceeded: 8192 > 16",
+        ),
+        (
+            &["run", "fig7"],
+            &["tiers=1000"],
+            "`width * height * tiers <= 4096` exceeded",
+        ),
+        (
+            &["run", "fig7"],
+            &["thermal.g_vertical=0"],
+            "`thermal.g_vertical` must be finite and > 0",
+        ),
+        (
+            &["run", "fig7"],
+            &["dynamic_power_budget_w=NaN"],
+            "`dynamic_power_budget_w` must be finite and >= 0",
+        ),
     ];
-    for (set, expected) in probes {
-        let mut child = Command::new(env!("CARGO_BIN_EXE_pim-bench"))
-            .args(["run", "fig3", "--workload", "WL1", "--arch", "Kite"])
-            .args(["--set", set])
+    for (run, sets, expected) in probes {
+        let mut cmd = Command::new(env!("CARGO_BIN_EXE_pim-bench"));
+        cmd.args(run);
+        for set in sets {
+            cmd.args(["--set", set]);
+        }
+        let mut child = cmd
             .stdout(Stdio::null())
             .stderr(Stdio::piped())
             .spawn()
@@ -91,16 +118,16 @@ fn oversized_inputs_exit_promptly_with_a_config_error() {
         while child.try_wait().expect("pim-bench waits").is_none() {
             if Instant::now() > deadline {
                 child.kill().ok();
-                panic!("`--set {set}` still running after 20 s");
+                panic!("`--set {sets:?}` still running after 20 s");
             }
             std::thread::sleep(Duration::from_millis(10));
         }
         let out = child.wait_with_output().expect("pim-bench exits");
         let stderr = String::from_utf8_lossy(&out.stderr);
-        assert_eq!(out.status.code(), Some(1), "`--set {set}`: {stderr}");
+        assert_eq!(out.status.code(), Some(1), "`--set {sets:?}`: {stderr}");
         assert!(
             stderr.contains("invalid config") && stderr.contains(expected),
-            "`--set {set}`: {stderr}"
+            "`--set {sets:?}`: {stderr}"
         );
     }
 }

@@ -29,6 +29,24 @@ pub enum ConfigError {
         /// The largest accepted value.
         max: u64,
     },
+    /// A product of fields exceeds the resource budget it is held to
+    /// (see [`SystemConfig::validate`]).
+    OverBudget {
+        /// The budget rule, as `"width * height * tiers <= 4096"`.
+        budget: &'static str,
+        /// The product under the rejected config.
+        value: u64,
+        /// The largest accepted product under that config.
+        max: u64,
+    },
+    /// A real-valued field is not finite or lies outside its physical
+    /// range.
+    OutOfRange {
+        /// The offending field.
+        field: &'static str,
+        /// What the field must be, as `"finite and > 0"`.
+        expected: &'static str,
+    },
     /// `--set key=value` named a key the builder does not know.
     UnknownKey(String),
     /// `--set key=value` value failed to parse for its key's type.
@@ -48,6 +66,12 @@ impl fmt::Display for ConfigError {
             }
             ConfigError::TooLarge { field, max } => {
                 write!(f, "config field `{field}` must be <= {max}")
+            }
+            ConfigError::OverBudget { budget, value, max } => {
+                write!(f, "config budget `{budget}` exceeded: {value} > {max}")
+            }
+            ConfigError::OutOfRange { field, expected } => {
+                write!(f, "config field `{field}` must be {expected}")
             }
             ConfigError::UnknownKey(key) => {
                 write!(
@@ -72,6 +96,15 @@ const MAX_GRID_SIDE: u64 = 32;
 const MAX_BATCH: u64 = 1024;
 /// Largest accepted `activation_bytes`: a 64-bit element.
 const MAX_ACTIVATION_BYTES: u64 = 8;
+/// Largest accepted traffic scale `batch × activation_bytes` per unit of
+/// `sim_sampling`. The DES traffic of a snapshot grows with
+/// `batch × activation_bytes / sim_sampling`; 16 admits `batch = 1024` at
+/// the default sampling of 64, and at 16 the largest `noi_hifi` DES call
+/// (109,916 packets at scale 1) stays under ~1.8M packets.
+const MAX_TRAFFIC_PER_SAMPLING: u64 = 16;
+/// Largest accepted node count `width × height × tiers`, which sizes the
+/// route table (a next hop per node pair); 32 × 32 × 4 takes ~130 MiB.
+const MAX_NODES: u64 = 4096;
 
 /// Full configuration of a PIM-enabled manycore system.
 #[derive(Clone, Debug, PartialEq, Serialize, Deserialize)]
@@ -80,7 +113,8 @@ pub struct SystemConfig {
     pub width: u16,
     /// Chiplet/PE grid height (at most 32).
     pub height: u16,
-    /// Tiers (1 for 2.5D interposer systems).
+    /// Tiers (1 for 2.5D interposer systems; `width × height × tiers`
+    /// at most 4096).
     pub tiers: u16,
     /// Interconnect hardware model.
     pub hw: HwParams,
@@ -90,7 +124,8 @@ pub struct SystemConfig {
     /// Thermal network (3D systems).
     pub thermal: ThermalConfig,
     /// Bytes per activation element on the NoI (8-bit inference; at
-    /// most 8).
+    /// most 8, and `batch × activation_bytes` at most
+    /// `16 × sim_sampling`).
     pub activation_bytes: u64,
     /// Traffic sampling divisor for the discrete-event simulator: flows
     /// are scaled by `1/sim_sampling` before simulation. Relative
@@ -103,11 +138,12 @@ pub struct SystemConfig {
     /// Simulate every N-th resident-set snapshot of the churn schedule
     /// (the last snapshot is always simulated).
     pub snapshot_every: u32,
-    /// Dynamic thermal design power of the 3D stack, W: streaming
-    /// inference is throttled so the aggregate dynamic PIM power hits
-    /// this budget (0 disables the normalization). Keeps every Fig. 6
-    /// workload in the same thermal envelope so that placement quality —
-    /// not model size — drives the temperature differences.
+    /// Dynamic thermal design power of the 3D stack, W (finite, not
+    /// negative): streaming inference is throttled so the aggregate
+    /// dynamic PIM power hits this budget (0 disables the normalization).
+    /// Keeps every Fig. 6 workload in the same thermal envelope so that
+    /// placement quality — not model size — drives the temperature
+    /// differences.
     pub dynamic_power_budget_w: f64,
 }
 
@@ -172,13 +208,21 @@ impl SystemConfig {
     /// `activation_bytes` and `pim.crossbars_per_node` (no traffic / no
     /// capacity). It also bounds the fields that size the route table
     /// and the simulated traffic: `width` and `height` at most 32,
-    /// `batch` at most 1024 and `activation_bytes` at most 8. Larger
-    /// values would exhaust memory instead of failing.
+    /// `batch` at most 1024 and `activation_bytes` at most 8, and their
+    /// products: the node count `width × height × tiers` at most 4096
+    /// and the traffic scale `batch × activation_bytes` at most
+    /// `16 × sim_sampling`. Larger values would exhaust memory instead
+    /// of failing. Finally `thermal.g_vertical` must be finite and
+    /// positive and `dynamic_power_budget_w` finite and non-negative;
+    /// other values give non-physical temperatures without an error.
     ///
     /// # Errors
     ///
     /// [`ConfigError::ZeroField`] naming the first zero field, else
-    /// [`ConfigError::TooLarge`] naming the first field over its maximum.
+    /// [`ConfigError::TooLarge`] naming the first field over its maximum,
+    /// else [`ConfigError::OverBudget`] naming the first product over
+    /// its budget, else [`ConfigError::OutOfRange`] naming the first
+    /// non-physical real field.
     pub fn validate(&self) -> Result<(), ConfigError> {
         let positives: [(&'static str, u64); 7] = [
             ("width", u64::from(self.width)),
@@ -211,6 +255,39 @@ impl SystemConfig {
             if v > max {
                 return Err(ConfigError::TooLarge { field, max });
             }
+        }
+        // The per-field checks above keep both products far from `u64`
+        // overflow.
+        let budgets: [(&'static str, u64, u64); 2] = [
+            (
+                "width * height * tiers <= 4096",
+                self.node_count() as u64,
+                MAX_NODES,
+            ),
+            (
+                "batch * activation_bytes <= 16 * sim_sampling",
+                u64::from(self.batch) * self.activation_bytes,
+                MAX_TRAFFIC_PER_SAMPLING.saturating_mul(self.sim_sampling),
+            ),
+        ];
+        for (budget, value, max) in budgets {
+            if value > max {
+                return Err(ConfigError::OverBudget { budget, value, max });
+            }
+        }
+        let g = self.thermal.g_vertical;
+        if !(g.is_finite() && g > 0.0) {
+            return Err(ConfigError::OutOfRange {
+                field: "thermal.g_vertical",
+                expected: "finite and > 0",
+            });
+        }
+        let p = self.dynamic_power_budget_w;
+        if !(p.is_finite() && p >= 0.0) {
+            return Err(ConfigError::OutOfRange {
+                field: "dynamic_power_budget_w",
+                expected: "finite and >= 0",
+            });
         }
         Ok(())
     }
@@ -416,6 +493,79 @@ mod tests {
     }
 
     #[test]
+    fn validate_bounds_the_node_count() {
+        // 32 x 32 x 4 = 4096 nodes is the largest accepted route table.
+        let mut cfg = SystemConfig::stacked_3d();
+        (cfg.width, cfg.height, cfg.tiers) = (32, 32, 4);
+        assert_eq!(cfg.validate(), Ok(()));
+        cfg.tiers = 5;
+        assert_eq!(
+            cfg.validate(),
+            Err(ConfigError::OverBudget {
+                budget: "width * height * tiers <= 4096",
+                value: 5120,
+                max: 4096,
+            })
+        );
+    }
+
+    #[test]
+    fn validate_bounds_the_traffic_scale() {
+        // batch x activation_bytes may reach 16 x sim_sampling: 1024 at
+        // the default sampling of 64, 16 at sampling 1.
+        let mut cfg = SystemConfig::datacenter_25d();
+        cfg.batch = 1024;
+        assert_eq!(cfg.validate(), Ok(()));
+        cfg.activation_bytes = 2;
+        let over = |value, max| {
+            Err(ConfigError::OverBudget {
+                budget: "batch * activation_bytes <= 16 * sim_sampling",
+                value,
+                max,
+            })
+        };
+        assert_eq!(cfg.validate(), over(2048, 1024));
+        (cfg.batch, cfg.activation_bytes, cfg.sim_sampling) = (16, 1, 1);
+        assert_eq!(cfg.validate(), Ok(()));
+        cfg.batch = 17;
+        assert_eq!(cfg.validate(), over(17, 16));
+    }
+
+    #[test]
+    fn validate_rejects_non_physical_vertical_conductance() {
+        for g in [0.0, -0.6, f64::NAN, f64::INFINITY] {
+            let mut cfg = SystemConfig::stacked_3d();
+            cfg.thermal.g_vertical = g;
+            assert_eq!(
+                cfg.validate(),
+                Err(ConfigError::OutOfRange {
+                    field: "thermal.g_vertical",
+                    expected: "finite and > 0",
+                }),
+                "g_vertical = {g}"
+            );
+        }
+    }
+
+    #[test]
+    fn validate_rejects_non_physical_power_budgets() {
+        let mut cfg = SystemConfig::stacked_3d();
+        cfg.dynamic_power_budget_w = 0.0; // disables the normalization
+        assert_eq!(cfg.validate(), Ok(()));
+        for p in [-1.0, f64::NAN, f64::INFINITY] {
+            cfg.dynamic_power_budget_w = p;
+            assert_eq!(
+                cfg.validate(),
+                Err(ConfigError::OutOfRange {
+                    field: "dynamic_power_budget_w",
+                    expected: "finite and >= 0",
+                }),
+                "dynamic_power_budget_w = {p}"
+            );
+        }
+    }
+
+    #[test]
     fn builder_sets_every_documented_key() {
         let mut b = SystemConfig::datacenter_25d().builder();
         for key in SystemConfigBuilder::KEYS {
@@ -465,6 +615,19 @@ mod tests {
             max: 1024,
         };
         assert!(e.to_string().contains("batch") && e.to_string().contains("1024"));
+        let e = ConfigError::OverBudget {
+            budget: "width * height * tiers <= 4096",
+            value: 100_000,
+            max: 4096,
+        };
+        assert!(e.to_string().contains("tiers") && e.to_string().contains("100000 > 4096"));
+        let e = ConfigError::OutOfRange {
+            field: "thermal.g_vertical",
+            expected: "finite and > 0",
+        };
+        assert!(e
+            .to_string()
+            .contains("`thermal.g_vertical` must be finite and > 0"));
         assert!(ConfigError::UnknownKey("xyz".into())
             .to_string()
             .contains("xyz"));

@@ -11,7 +11,8 @@ use mapper::{
     StrategyKind,
 };
 use netsim::{
-    analyze_with_table, sample_flows_into, simulate_with_scratch, Flow, RouteTable, SimConfig,
+    analyze_with_table, sample_flows_into, simulate_with_scratch, split_components_into, Flow,
+    RouteTable, SimConfig, SimReport,
 };
 use serde::{Deserialize, Serialize};
 use topology::{FloretLayout, Topology, TopologyError, TopologySummary};
@@ -20,6 +21,7 @@ use crate::arch::NoiArch;
 use crate::config::SystemConfig;
 use crate::scenario::ScenarioError;
 use crate::scratch::{SweepScratch, NO_SLOT};
+use crate::sweep::EvalCache;
 
 /// A 2.5D PIM chiplet system with a fixed NoI architecture.
 ///
@@ -132,7 +134,7 @@ impl SearchedResolution {
 
 /// How a churned placement is costed: a fixed hand dataflow mode, or
 /// per-task resolved loop-nest mappings (the `searched` pseudo-mode).
-enum CostModel<'a> {
+pub(crate) enum CostModel<'a> {
     Mode(Dataflow),
     Mapped(&'a [ModelMapping]),
 }
@@ -486,6 +488,22 @@ impl Platform25D {
         outcome: &ChurnOutcome,
         scratch: &mut SweepScratch,
     ) -> (SearchedResolution, WorkloadReport) {
+        let (res, mut rep) = self.resolve_searched_without_des(wl, graphs, outcome, scratch);
+        self.simulate_snapshots(outcome, scratch, &mut rep, None);
+        (res, rep)
+    }
+
+    /// The DES-free stage of [`Platform25D::resolve_searched_scratch`]:
+    /// ranks the candidates and returns the winner with its report, whose
+    /// DES fields are still zero, and the winner's flows in `scratch`
+    /// for [`Platform25D::simulate_snapshots`].
+    pub(crate) fn resolve_searched_without_des(
+        &self,
+        wl: &Workload,
+        graphs: &[SegmentGraph],
+        outcome: &ChurnOutcome,
+        scratch: &mut SweepScratch,
+    ) -> (SearchedResolution, WorkloadReport) {
         let mut candidates: Vec<Vec<ModelMapping>> = Vec::with_capacity(5);
         candidates.push(self.searched_task_mappings(graphs));
         for df in Dataflow::all() {
@@ -502,7 +520,7 @@ impl Platform25D {
                 best = Some((i, rep, edp));
             }
         }
-        let (win, mut rep, _) = best.expect("at least the searched candidate was costed");
+        let (win, rep, _) = best.expect("at least the searched candidate was costed");
         let last = candidates.len() - 1;
         let maps = candidates.swap_remove(win);
         // The scratch holds the flows of the last candidate costed; the
@@ -510,7 +528,6 @@ impl Platform25D {
         if win != last {
             self.expand_task_flows(graphs, outcome, &CostModel::Mapped(&maps), scratch);
         }
-        self.simulate_snapshots(outcome, scratch, &mut rep);
         (SearchedResolution::new(maps), rep)
     }
 
@@ -595,7 +612,7 @@ impl Platform25D {
         scratch: &mut SweepScratch,
     ) -> WorkloadReport {
         let mut rep = self.report_without_des(wl, graphs, outcome, model, scratch);
-        self.simulate_snapshots(outcome, scratch, &mut rep);
+        self.simulate_snapshots(outcome, scratch, &mut rep, None);
         rep
     }
 
@@ -669,7 +686,7 @@ impl Platform25D {
     /// `scratch` for [`Platform25D::simulate_snapshots`]), per-task
     /// analytical NoI, static, programming and compute costs — every
     /// field [`Platform25D::report_edp`] reads. The DES fields stay zero.
-    fn report_without_des(
+    pub(crate) fn report_without_des(
         &self,
         wl: &Workload,
         graphs: &[SegmentGraph],
@@ -766,11 +783,23 @@ impl Platform25D {
     /// the admission sequence, replaying the flows that
     /// [`Platform25D::expand_task_flows`] left in `scratch` for
     /// `outcome`. Fills the report's DES fields.
-    fn simulate_snapshots(
+    ///
+    /// Each simulated snapshot's sampled flows are split into
+    /// channel-disjoint components ([`netsim::split_components_into`]),
+    /// and each component runs through the DES on its own. Components
+    /// share no channel, so every packet is delivered at the cycle a run
+    /// over the whole snapshot delivers it: the snapshot's makespan is
+    /// the components' maximum, and its packets and integer latency sum
+    /// are their sums, which makes the snapshot's mean bit-identical. A
+    /// component recurs for as long as its tasks stay resident, so with
+    /// `memo` (the runner's enabled [`EvalCache`]) a component already
+    /// simulated on this architecture is replayed instead of re-run.
+    pub(crate) fn simulate_snapshots(
         &self,
         outcome: &ChurnOutcome,
         scratch: &mut SweepScratch,
         rep: &mut WorkloadReport,
+        memo: Option<&EvalCache>,
     ) {
         let mut sim_latency = 0u64;
         let mut packet_lat_weighted = 0.0;
@@ -799,17 +828,43 @@ impl Platform25D {
                 self.cfg.sim_sampling,
                 &mut scratch.sampled_flows,
             );
-            let sim = simulate_with_scratch(
+            split_components_into(
                 &self.topo,
-                &self.cfg.hw,
                 &scratch.sampled_flows,
-                &sim_cfg,
                 &self.route,
                 &mut scratch.sim,
+                &mut scratch.component_flows,
+                &mut scratch.component_ends,
             );
-            sim_latency += sim.makespan_cycles;
-            packet_lat_weighted += sim.mean_packet_latency_cycles * sim.packets as f64;
-            packets += sim.packets;
+            let mut whole = DesTotals::default();
+            let mut start = 0;
+            for &end in &scratch.component_ends {
+                let flows = &scratch.component_flows[start..end];
+                start = end;
+                let sim = &mut scratch.sim;
+                let mut run = || {
+                    DesTotals::of(&simulate_with_scratch(
+                        &self.topo,
+                        &self.cfg.hw,
+                        flows,
+                        &sim_cfg,
+                        &self.route,
+                        sim,
+                    ))
+                };
+                whole.merge(match memo {
+                    Some(cache) => cache.des_component(self.arch_name(), flows, run),
+                    None => run(),
+                });
+            }
+            sim_latency += whole.makespan_cycles;
+            let mean = if whole.packets == 0 {
+                0.0
+            } else {
+                whole.latency_cycles as f64 / whole.packets as f64
+            };
+            packet_lat_weighted += mean * whole.packets as f64;
+            packets += whole.packets;
         }
         rep.sim_latency_cycles = sim_latency;
         rep.mean_packet_latency_cycles = if packets == 0 {
@@ -817,6 +872,33 @@ impl Platform25D {
         } else {
             packet_lat_weighted / packets as f64
         };
+    }
+}
+
+/// What a report keeps of one DES run: the makespan, the integer sum of
+/// packet latencies and the packet count. The runs of a snapshot's
+/// channel-disjoint components merge into the snapshot's by maximum and
+/// sums.
+#[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
+pub(crate) struct DesTotals {
+    pub(crate) makespan_cycles: u64,
+    pub(crate) latency_cycles: u64,
+    pub(crate) packets: u64,
+}
+
+impl DesTotals {
+    fn of(r: &SimReport) -> Self {
+        DesTotals {
+            makespan_cycles: r.makespan_cycles,
+            latency_cycles: r.total_packet_latency_cycles,
+            packets: r.packets,
+        }
+    }
+
+    fn merge(&mut self, part: DesTotals) {
+        self.makespan_cycles = self.makespan_cycles.max(part.makespan_cycles);
+        self.latency_cycles += part.latency_cycles;
+        self.packets += part.packets;
     }
 }
 

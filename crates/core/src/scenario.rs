@@ -742,9 +742,13 @@ impl ExperimentRegistry {
             if let Some(stats) = ctx.cache_stats() {
                 let delta = stats.since(before);
                 out.notes.push(format!(
-                    "eval cache: {} hits, {} misses (config fingerprint {:016x})",
+                    "eval cache: {} hits, {} misses; DES components: {} runs, {} hits, \
+                     {} packets simulated (config fingerprint {:016x})",
                     delta.hits,
                     delta.misses,
+                    delta.component_runs,
+                    delta.component_hits,
+                    delta.packets_simulated,
                     ctx.cache_fingerprint().unwrap_or(0),
                 ));
             }

@@ -2,8 +2,9 @@
 //!
 //! Every (architecture, workload, dataflow) cell evaluation needs the
 //! same family of working buffers: per-task transfer lists, the flow
-//! concatenation of a resident-set snapshot, the sampled traffic fed to
-//! the DES, and the simulator's own arena ([`netsim::SimScratch`]).
+//! concatenation of a resident-set snapshot, the sampled traffic and its
+//! channel-disjoint components fed to the DES, and the simulator's own
+//! arena ([`netsim::SimScratch`]).
 //! Allocating them per cell made the fig3/dataflows/mapping_search
 //! sweeps pay the same alloc/free churn 80–160×. A [`SweepScratch`]
 //! owns all of them; [`ScratchPool`] (owned by
@@ -43,8 +44,14 @@ pub struct SweepScratch {
     pub(crate) placement_slot: Vec<u32>,
     /// Concatenated flows of one resident-set snapshot.
     pub(crate) snapshot_flows: Vec<Flow>,
-    /// Sampled traffic handed to the DES.
+    /// Sampled traffic of one snapshot.
     pub(crate) sampled_flows: Vec<Flow>,
+    /// The sampled traffic grouped into channel-disjoint components, as
+    /// [`netsim::split_components_into`] leaves it; each component is
+    /// handed to the DES on its own.
+    pub(crate) component_flows: Vec<Flow>,
+    /// End of each component in `component_flows`.
+    pub(crate) component_ends: Vec<usize>,
 }
 
 impl SweepScratch {
@@ -58,6 +65,8 @@ impl SweepScratch {
             placement_slot: Vec::new(),
             snapshot_flows: Vec::new(),
             sampled_flows: Vec::new(),
+            component_flows: Vec::new(),
+            component_ends: Vec::new(),
         }
     }
 
@@ -78,6 +87,8 @@ impl SweepScratch {
         self.placement_slot.clear();
         self.snapshot_flows.clear();
         self.sampled_flows.clear();
+        self.component_flows.clear();
+        self.component_ends.clear();
     }
 }
 

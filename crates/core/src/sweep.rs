@@ -26,11 +26,14 @@
 //! mappings behind them, and what the `searched` pseudo-mode resolved
 //! each cell to ([`SearchedResolution`]), so a shared
 //! runner — `pim-bench run all` holds one per [`crate::RunContext`] —
-//! does each evaluation exactly once. Cached cells are pure replays:
-//! output stays byte-identical to uncached runs at any thread count.
-//! `PIM_BENCH_NO_CACHE=1` bypasses the cache (the equivalence tests diff
-//! both modes), and hit/miss counters are surfaced per experiment when
-//! `PIM_BENCH_CACHE_STATS=1`.
+//! does each evaluation exactly once. Below the report level it also
+//! memoizes the snapshot DES by channel-disjoint component (keyed by
+//! architecture × the component's flow list), which repeats across the
+//! snapshots of a cell and across cells while the same tasks stay
+//! resident. Cached cells are pure replays: output stays byte-identical
+//! to uncached runs at any thread count. `PIM_BENCH_NO_CACHE=1` bypasses
+//! the cache (the equivalence tests diff both modes), and hit/miss
+//! counters are surfaced per experiment when `PIM_BENCH_CACHE_STATS=1`.
 
 use std::collections::HashMap;
 use std::fmt;
@@ -40,12 +43,13 @@ use std::thread;
 
 use dnn::{table2, Dataflow, SegmentGraph, Workload};
 use mapper::ChurnOutcome;
+use netsim::Flow;
 use serde::Serialize;
 use topology::{TopologyError, TopologySummary};
 
 use crate::arch::NoiArch;
 use crate::config::SystemConfig;
-use crate::platform25::{Platform25D, SearchedResolution, WorkloadReport};
+use crate::platform25::{CostModel, DesTotals, Platform25D, SearchedResolution, WorkloadReport};
 use crate::scratch::{ScratchPool, SweepScratch};
 
 /// Default worker count: one per available hardware thread.
@@ -97,13 +101,26 @@ where
     indexed.into_iter().map(|(_, v)| v).collect()
 }
 
-/// A hit/miss counter snapshot of an [`EvalCache`].
+/// A counter snapshot of an [`EvalCache`]: report hits and misses, and
+/// the snapshot-DES component memo's traffic.
+///
+/// Above one worker thread, two cells may both miss the same report or
+/// component and both compute it, so the hit and miss counts can vary
+/// from run to run; the output they produce cannot. All counters stay
+/// zero while the cache is bypassed.
 #[derive(Copy, Clone, Debug, Default, PartialEq, Eq, Serialize)]
 pub struct CacheStats {
     /// Workload reports served from the cache.
     pub hits: u64,
     /// Workload reports computed (and stored) on demand.
     pub misses: u64,
+    /// Channel-disjoint snapshot-DES components the memo was asked for,
+    /// served or simulated.
+    pub component_runs: u64,
+    /// Components served from the memo instead of simulated.
+    pub component_hits: u64,
+    /// Packets the DES simulated for the components that missed.
+    pub packets_simulated: u64,
 }
 
 impl CacheStats {
@@ -114,6 +131,9 @@ impl CacheStats {
         CacheStats {
             hits: self.hits - earlier.hits,
             misses: self.misses - earlier.misses,
+            component_runs: self.component_runs - earlier.component_runs,
+            component_hits: self.component_hits - earlier.component_hits,
+            packets_simulated: self.packets_simulated - earlier.packets_simulated,
         }
     }
 }
@@ -128,16 +148,24 @@ struct ChurnEntry {
 /// Report-cache key: (arch, workload fp, dataflow tag, resolved mapping fp).
 type ReportKey = (&'static str, u64, &'static str, u64);
 
+/// Component-memo key: (arch, FNV-1a of the component's flow list).
+type ComponentKey = (&'static str, u64);
+
+/// Component-memo entry: the flow list the key hashed, and its totals.
+type ComponentEntry = (Box<[Flow]>, DesTotals);
+
 /// Cross-experiment evaluation cache (see the module docs). Owned by a
 /// [`SweepRunner`]; every lookup is keyed by the runner's config
 /// fingerprint so entries can never leak across differently-configured
 /// engines.
 ///
-/// Determinism audit: all three maps are touched **only** through keyed
+/// Determinism audit: all four maps are touched **only** through keyed
 /// `get`/`insert` under their mutexes — nothing ever iterates them, so
 /// their unspecified ordering cannot reach output (the `unordered-iter`
 /// pim-lint rule keeps it that way). Only [`CacheStats`] counters, which
-/// never feed golden bytes, aggregate across entries.
+/// never feed golden bytes, aggregate across entries. Concurrent cells
+/// may both miss an entry and compute the same value; only the counters
+/// see that.
 pub struct EvalCache {
     fingerprint: u64,
     enabled: bool,
@@ -152,8 +180,19 @@ pub struct EvalCache {
     /// fp) cell — the mapping-search memo: later cells replay the
     /// resolved mappings instead of re-running the search.
     resolutions: Mutex<HashMap<(&'static str, u64), SearchedResolution>>,
+    /// The snapshot-DES memo: the totals of one channel-disjoint
+    /// component ([`netsim::split_components_into`]) keyed by
+    /// architecture and the FNV-1a of its ordered flow list, stored with
+    /// the list itself. A hit compares the full list, so the hash never
+    /// serves as identity; a collision only costs a recompute. The
+    /// runner's config fixes everything else the DES reads (hardware,
+    /// route table, packet size).
+    components: Mutex<HashMap<ComponentKey, ComponentEntry>>,
     hits: AtomicU64,
     misses: AtomicU64,
+    component_runs: AtomicU64,
+    component_hits: AtomicU64,
+    packets_simulated: AtomicU64,
 }
 
 impl fmt::Debug for EvalCache {
@@ -166,16 +205,28 @@ impl fmt::Debug for EvalCache {
     }
 }
 
+/// 64-bit FNV-1a over `bytes`.
+fn fnv1a(bytes: impl IntoIterator<Item = u8>) -> u64 {
+    bytes.into_iter().fold(0xcbf2_9ce4_8422_2325, |hash, byte| {
+        (hash ^ u64::from(byte)).wrapping_mul(0x1_0000_01b3)
+    })
+}
+
 /// FNV-1a over a value's stable `Debug` representation: cheap, has no
 /// dependency on a serializer, and changes whenever any field changes —
 /// the property the cache keys need.
 fn debug_fingerprint(value: &impl fmt::Debug) -> u64 {
-    let mut hash: u64 = 0xcbf2_9ce4_8422_2325;
-    for byte in format!("{value:?}").bytes() {
-        hash ^= u64::from(byte);
-        hash = hash.wrapping_mul(0x1_0000_01b3);
-    }
-    hash
+    fnv1a(format!("{value:?}").bytes())
+}
+
+/// FNV-1a over a flow list's fields, in order: the component-memo key.
+fn flows_fingerprint(flows: &[Flow]) -> u64 {
+    fnv1a(
+        flows
+            .iter()
+            .flat_map(|f| [u64::from(f.src.0), u64::from(f.dst.0), f.bytes])
+            .flat_map(u64::to_le_bytes),
+    )
 }
 
 /// The runner-wide key prefix: covers the full [`SystemConfig`]
@@ -203,8 +254,12 @@ impl EvalCache {
             reports: Mutex::new(HashMap::new()),
             churn: Mutex::new(HashMap::new()),
             resolutions: Mutex::new(HashMap::new()),
+            components: Mutex::new(HashMap::new()),
             hits: AtomicU64::new(0),
             misses: AtomicU64::new(0),
+            component_runs: AtomicU64::new(0),
+            component_hits: AtomicU64::new(0),
+            packets_simulated: AtomicU64::new(0),
         }
     }
 
@@ -218,12 +273,42 @@ impl EvalCache {
         self.enabled
     }
 
-    /// Current hit/miss counters.
+    /// Current counters.
     pub fn stats(&self) -> CacheStats {
         CacheStats {
             hits: self.hits.load(Ordering::Relaxed),
             misses: self.misses.load(Ordering::Relaxed),
+            component_runs: self.component_runs.load(Ordering::Relaxed),
+            component_hits: self.component_hits.load(Ordering::Relaxed),
+            packets_simulated: self.packets_simulated.load(Ordering::Relaxed),
         }
+    }
+
+    /// The DES totals of one channel-disjoint snapshot component on
+    /// `arch`: replayed from the memo when the same flow list was
+    /// simulated before, else computed by `run` and stored.
+    pub(crate) fn des_component(
+        &self,
+        arch: &'static str,
+        flows: &[Flow],
+        run: impl FnOnce() -> DesTotals,
+    ) -> DesTotals {
+        self.component_runs.fetch_add(1, Ordering::Relaxed);
+        let key = (arch, flows_fingerprint(flows));
+        if let Some((stored, totals)) = self.components.lock().expect("cache lock").get(&key) {
+            if **stored == *flows {
+                self.component_hits.fetch_add(1, Ordering::Relaxed);
+                return *totals;
+            }
+        }
+        let totals = run();
+        self.packets_simulated
+            .fetch_add(totals.packets, Ordering::Relaxed);
+        self.components
+            .lock()
+            .expect("cache lock")
+            .insert(key, (flows.into(), totals));
+        totals
     }
 
     /// The memoized (graphs, churn mapping) of one cell, computed on
@@ -417,16 +502,19 @@ impl SweepRunner {
         }
         self.cache.misses.fetch_add(1, Ordering::Relaxed);
         let e = Arc::clone(entry.get_or_insert_with(|| self.cache.churn_entry(platform, wl, wfp)));
-        let (mfp, report) = match df {
+        // The DES-free stage of the report, then the snapshot DES through
+        // the component memo.
+        let (graphs, outcome) = (&e.graphs, &e.outcome);
+        let (mfp, mut report) = match df {
             Dataflow::Searched => match resolution {
-                Some(res) => (
-                    res.fingerprint,
-                    platform
-                        .cost_searched_resolution_scratch(wl, &e.graphs, &e.outcome, &res, scratch),
-                ),
+                Some(res) => {
+                    let model = CostModel::Mapped(&res.mappings);
+                    let rep = platform.report_without_des(wl, graphs, outcome, &model, scratch);
+                    (res.fingerprint, rep)
+                }
                 None => {
                     let (res, rep) =
-                        platform.resolve_searched_scratch(wl, &e.graphs, &e.outcome, scratch);
+                        platform.resolve_searched_without_des(wl, graphs, outcome, scratch);
                     let fp = res.fingerprint;
                     self.cache
                         .resolutions
@@ -436,11 +524,15 @@ impl SweepRunner {
                     (fp, rep)
                 }
             },
-            df => (
-                0,
-                platform.cost_churn_outcome_scratch(wl, &e.graphs, &e.outcome, df, scratch),
-            ),
+            df => {
+                let model = CostModel::Mode(df);
+                (
+                    0,
+                    platform.report_without_des(wl, graphs, outcome, &model, scratch),
+                )
+            }
         };
+        platform.simulate_snapshots(outcome, scratch, &mut report, Some(&self.cache));
         self.cache
             .reports
             .lock()
@@ -712,6 +804,12 @@ mod tests {
         assert_eq!(first, bypass);
     }
 
+    /// The report-level `(hits, misses)` of a runner's cache.
+    fn report_counts(runner: &SweepRunner) -> (u64, u64) {
+        let s = runner.cache().stats();
+        (s.hits, s.misses)
+    }
+
     #[test]
     fn cache_counts_hits_and_misses_per_cell() {
         let cfg = SystemConfig::datacenter_25d();
@@ -720,9 +818,53 @@ mod tests {
         let n = runner.platforms().len() as u64;
 
         runner.run_workloads(std::slice::from_ref(&wl));
-        assert_eq!(runner.cache().stats(), CacheStats { hits: 0, misses: n });
+        assert_eq!(report_counts(&runner), (0, n));
         runner.run_workloads(std::slice::from_ref(&wl));
-        assert_eq!(runner.cache().stats(), CacheStats { hits: n, misses: n });
+        assert_eq!(report_counts(&runner), (n, n));
+    }
+
+    #[test]
+    fn component_memo_hits_return_what_a_cold_runner_computes() {
+        // A renamed copy of WL1 misses the report cache (the workload key
+        // covers the name) but maps and simulates exactly like WL1, so
+        // every snapshot-DES component replays from the memo. Its report
+        // must equal a cold runner's and an uncached one's.
+        let cfg = SystemConfig::datacenter_25d();
+        let archs = [NoiArch::Floret { lambda: 6 }];
+        let wl = dnn::table2_workload("WL1").unwrap();
+        let mut renamed = wl.clone();
+        renamed.name = "WL1 copy".to_string();
+        let runner = |cache| {
+            SweepRunner::for_archs(&cfg, &archs)
+                .unwrap()
+                .with_cache_enabled(cache)
+        };
+
+        let warm = runner(true);
+        warm.run_workloads(std::slice::from_ref(&wl));
+        let first = warm.cache().stats();
+        assert!(
+            first.component_hits > 0,
+            "components recur across snapshots"
+        );
+        assert!(first.component_runs > first.component_hits);
+        let replayed = warm.run_workloads(std::slice::from_ref(&renamed));
+        let second = warm.cache().stats().since(first);
+        assert_eq!((second.hits, second.misses), (0, 1));
+        assert_eq!(second.component_runs, first.component_runs);
+        assert_eq!(second.component_hits, second.component_runs);
+        assert_eq!(second.packets_simulated, 0);
+
+        assert_eq!(
+            replayed,
+            runner(true).run_workloads(std::slice::from_ref(&renamed))
+        );
+        let bypass = runner(false);
+        assert_eq!(
+            replayed,
+            bypass.run_workloads(std::slice::from_ref(&renamed))
+        );
+        assert_eq!(bypass.cache().stats(), CacheStats::default());
     }
 
     #[test]
@@ -748,13 +890,7 @@ mod tests {
         let n_df = dataflows.len() as u64;
         // Warm engine: n WS misses, then n WS hits + n * (n_df - 1)
         // misses for the remaining modes.
-        assert_eq!(
-            warmed.cache().stats(),
-            CacheStats {
-                hits: n,
-                misses: n * n_df
-            }
-        );
+        assert_eq!(report_counts(&warmed), (n, n * n_df));
     }
 
     #[test]
@@ -770,13 +906,7 @@ mod tests {
         let tweaked = runner.run_workloads(std::slice::from_ref(&shrunk));
         assert_ne!(original, tweaked, "stale replay under a reused name");
         let n = runner.platforms().len() as u64;
-        assert_eq!(
-            runner.cache().stats(),
-            CacheStats {
-                hits: 0,
-                misses: 2 * n
-            }
-        );
+        assert_eq!(report_counts(&runner), (0, 2 * n));
         // The tweaked rows match an uncached evaluation of the same mix.
         let fresh = SweepRunner::new(&cfg)
             .unwrap()
@@ -844,22 +974,10 @@ mod tests {
 
         let first = cached.run_workloads_dataflows(std::slice::from_ref(&wl), &axis);
         let n_axis = axis.len() as u64;
-        assert_eq!(
-            cached.cache().stats(),
-            CacheStats {
-                hits: 0,
-                misses: n_axis
-            }
-        );
+        assert_eq!(report_counts(&cached), (0, n_axis));
         let replay = cached.run_workloads_dataflows(std::slice::from_ref(&wl), &axis);
         assert_eq!(first, replay, "cache replay must change nothing");
-        assert_eq!(
-            cached.cache().stats(),
-            CacheStats {
-                hits: n_axis,
-                misses: n_axis
-            }
-        );
+        assert_eq!(report_counts(&cached), (n_axis, n_axis));
         let fresh = bypass.run_workloads_dataflows(std::slice::from_ref(&wl), &axis);
         assert_eq!(first, fresh, "cached and bypassed searched paths agree");
         assert_eq!(first.last().unwrap().dataflow, "SRCH");

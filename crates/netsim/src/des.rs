@@ -36,6 +36,11 @@
 //! wait-queue nodes come from a pooled free-list chained by index — no
 //! per-packet heap allocation, and a warm scratch runs the whole
 //! simulation without allocating at all.
+//!
+//! Flows that share no channel never interact. [`split_components_into`]
+//! splits a flow set into channel-disjoint components; running each one
+//! alone delivers every packet at the cycle the whole run delivers it,
+//! so a caller that meets the same component again can reuse its result.
 
 use std::cmp::Reverse;
 use std::collections::BinaryHeap;
@@ -65,8 +70,17 @@ impl Default for SimConfig {
 pub struct SimReport {
     /// Cycle at which the last packet was delivered.
     pub makespan_cycles: u64,
-    /// Mean packet latency (injection queueing included), cycles.
+    /// Mean packet latency (injection queueing included), cycles:
+    /// [`SimReport::total_packet_latency_cycles`] over
+    /// [`SimReport::packets`].
     pub mean_packet_latency_cycles: f64,
+    /// Packet latencies summed over every packet, cycles. Every packet
+    /// enters at cycle 0, so this is the sum of the delivery cycles. It
+    /// is the exact integer behind the mean: the runs of a flow set's
+    /// channel-disjoint components ([`split_components_into`]) add up to
+    /// it, so their mean over the summed packets is bit-identical to the
+    /// mean of one run over the whole set.
+    pub total_packet_latency_cycles: u64,
     /// 95th-percentile packet latency (nearest-rank), cycles.
     pub p95_packet_latency_cycles: u64,
     /// Packets delivered.
@@ -320,6 +334,12 @@ pub struct SimScratch {
     /// Per-traversal energies of one packet of the flow being built (the
     /// destination router's last), summed once per packet.
     hop_energy: Vec<f64>,
+    /// Per channel: the union-find parent while
+    /// [`split_components_into`] joins channels into components.
+    component_parent: Vec<u32>,
+    /// Per channel: the component index of a union-find root; `NIL`
+    /// until the root's first flow is labelled.
+    component_label: Vec<u32>,
 }
 
 impl Default for SimScratch {
@@ -350,6 +370,8 @@ impl SimScratch {
             stats: LoopStats::default(),
             path: Vec::new(),
             hop_energy: Vec::new(),
+            component_parent: Vec::new(),
+            component_label: Vec::new(),
         }
     }
 
@@ -361,6 +383,8 @@ impl SimScratch {
         self.arena.clear();
         self.path.clear();
         self.hop_energy.clear();
+        self.component_parent.clear();
+        self.component_label.clear();
         self.reset_engine(0);
     }
 
@@ -558,6 +582,28 @@ fn assert_hop_field_fits(links: usize) {
     topology::narrow::u16_idx(links + 1);
 }
 
+/// False for a flow with `src == dst` or zero bytes: it produces no
+/// packets (and no energy) and joins no component.
+fn carries_traffic(f: &Flow) -> bool {
+    f.src != f.dst && f.bytes > 0
+}
+
+/// The channel of directed link `lid` left from node `from`: link `l`
+/// is channel `l` from its `a` end and `l + link_count` from its `b` end.
+fn link_channel(topo: &Topology, lid: LinkId, from: NodeId) -> u32 {
+    if topo.link(lid).a == from {
+        lid.0
+    } else {
+        lid.0 + topology::narrow::u32_idx(topo.link_count())
+    }
+}
+
+/// The source-NI channel of node `n`, after the `2 × link_count` link
+/// channels.
+fn ni_channel(topo: &Topology, n: NodeId) -> u32 {
+    topology::narrow::u32_idx(2 * topo.link_count()) + n.0
+}
+
 /// Segments `flows` into packets in the scratch's arena: each flow's
 /// route is walked once into per-hop channel ids and delays, then one
 /// packet per `packet_bytes` slice names the flow. Flows with
@@ -577,16 +623,6 @@ fn build_packets_into(
         hop_energy,
         ..
     } = scratch;
-    let n_links = topo.link_count();
-    let ni_base = 2 * n_links;
-    let channel_of = |lid: LinkId, from: NodeId| -> u32 {
-        let link = topo.link(lid);
-        if link.a == from {
-            lid.0
-        } else {
-            lid.0 + topology::narrow::u32_idx(n_links)
-        }
-    };
     // Per-traversal energies of one `bits`-bit packet along `path`, in
     // the order the energy total adds them: each link hop, then the
     // destination router.
@@ -605,24 +641,19 @@ fn build_packets_into(
     let mut energy_pj = 0.0f64;
     let mut flit_hops = 0u64;
     let packet_bytes = cfg.packet_bytes as u64;
-    for f in flows {
-        if f.src == f.dst || f.bytes == 0 {
-            continue;
-        }
+    for f in flows.iter().filter(|f| carries_traffic(f)) {
         // `path_into` clears and refills the scratch buffer per flow, so
         // routing never allocates once the buffer is warm.
         rt.path_into(topo, f.src, f.dst, path);
         assert_hop_field_fits(path.len());
         let flow = topology::narrow::u32_idx(arena.flow_offsets.len() - 1);
         // NI injection: router pipeline to enter the network.
-        arena
-            .channels
-            .push(topology::narrow::u32_idx(ni_base) + f.src.0);
+        arena.channels.push(ni_channel(topo, f.src));
         arena.hop_delay.push(hw.router_pipeline_cycles as u64);
         let mut at = f.src;
         for lid in path.iter() {
             let link = topo.link(*lid);
-            arena.channels.push(channel_of(*lid, at));
+            arena.channels.push(link_channel(topo, *lid, at));
             arena.hop_delay.push(hw.hop_cycles(link.length_hops));
             at = link.opposite(at);
         }
@@ -652,6 +683,110 @@ fn build_packets_into(
         }
     }
     (energy_pj, flit_hops)
+}
+
+/// Splits `flows` into channel-disjoint components: the units that
+/// [`simulate_with_scratch`] can run one at a time without moving a
+/// single delivery cycle.
+///
+/// Two flows join one component when they share a source-NI channel or a
+/// directed link channel on their routes, in the simulator's own channel
+/// numbering; components are the transitive closure of that. `out`
+/// receives the flows that carry traffic, grouped by component:
+/// components in order of their first flow, flows in input order within
+/// each. `ends[c]` is the end of component `c` in `out`, which starts at
+/// `ends[c - 1]` (0 for the first). Flows with `src == dst` or zero
+/// bytes are dropped, as the simulator drops them.
+///
+/// # Why a component run is exact
+///
+/// Components share no channel, so no event of one reads or writes the
+/// busy time, wait queue or NI chain of another. Run alone, a
+/// component's packets are renumbered `0..n` in their old relative
+/// order, which keeps the relative `(time, order_key)` order of its
+/// events: header keys order by `(seq, hop)`, release keys by channel
+/// id, and release keys stay below header keys. So each component pops
+/// its events in the order the whole run pops them, and every packet is
+/// delivered at the same cycle. The whole run's `makespan_cycles` and
+/// `max_hop_header_latency_cycles` are then the maxima over the
+/// component runs, and its `packets`, `total_packet_latency_cycles`,
+/// `flit_hops`, `total_channel_wait_cycles` and `heap_events` their
+/// sums. The p95 and the float fields (energy, mean hop latency) do not
+/// merge bit for bit from component reports.
+///
+/// The union-find buffers live in `scratch`, so a warm scratch and warm
+/// output buffers split without allocating.
+///
+/// # Panics
+///
+/// Panics if a flow references a node outside the topology.
+pub fn split_components_into(
+    topo: &Topology,
+    flows: &[Flow],
+    rt: &RouteTable,
+    scratch: &mut SimScratch,
+    out: &mut Vec<Flow>,
+    ends: &mut Vec<usize>,
+) {
+    let SimScratch {
+        path,
+        component_parent: parent,
+        component_label: label,
+        ..
+    } = scratch;
+    let n_channels = 2 * topo.link_count() + topo.node_count();
+    parent.clear();
+    parent.extend((0..n_channels).map(topology::narrow::u32_idx));
+    label.clear();
+    label.resize(n_channels, NIL);
+    // Join every link channel of a flow's route to its source NI.
+    for f in flows.iter().filter(|f| carries_traffic(f)) {
+        let ni = ni_channel(topo, f.src);
+        rt.path_into(topo, f.src, f.dst, path);
+        let mut at = f.src;
+        for &lid in path.iter() {
+            let (a, b) = (
+                find_root(parent, ni),
+                find_root(parent, link_channel(topo, lid, at)),
+            );
+            parent[a.max(b) as usize] = a.min(b);
+            at = topo.link(lid).opposite(at);
+        }
+    }
+    // Label components in order of their first flow and count their
+    // flows, then place the flows by a counting sort: `ends[c]` holds
+    // component `c`'s start and advances past each flow placed.
+    ends.clear();
+    for f in flows.iter().filter(|f| carries_traffic(f)) {
+        let root = find_root(parent, ni_channel(topo, f.src)) as usize;
+        if label[root] == NIL {
+            label[root] = topology::narrow::u32_idx(ends.len());
+            ends.push(0);
+        }
+        ends[label[root] as usize] += 1;
+    }
+    let mut start = 0;
+    for e in ends.iter_mut() {
+        start += std::mem::replace(e, start);
+    }
+    out.clear();
+    out.resize(start, Flow::new(NodeId(0), NodeId(0), 0));
+    for f in flows.iter().filter(|f| carries_traffic(f)) {
+        let root = find_root(parent, ni_channel(topo, f.src)) as usize;
+        let at = &mut ends[label[root] as usize];
+        out[*at] = *f;
+        *at += 1;
+    }
+}
+
+/// The union-find root of channel `ch`, halving the path on the way.
+fn find_root(parent: &mut [u32], mut ch: u32) -> u32 {
+    while parent[ch as usize] != ch {
+        let grand = parent[parent[ch as usize] as usize];
+        parent[ch as usize] = grand;
+        ch = grand;
+    }
+    ch
 }
 
 /// The event loop. The injection pass grants every NI up front; then
@@ -745,10 +880,11 @@ pub fn simulate_faulty_with_scratch(
     let delivered_at = &mut scratch.arena.delivered_at;
     let packets = delivered_at.len() as u64;
     let makespan = delivered_at.iter().copied().max().unwrap_or(0);
+    let total_latency: u64 = delivered_at.iter().sum();
     let mean = if packets == 0 {
         0.0
     } else {
-        delivered_at.iter().sum::<u64>() as f64 / packets as f64
+        total_latency as f64 / packets as f64
     };
     // Selection reorders `delivered_at`, so it runs after every other
     // read of it.
@@ -757,6 +893,7 @@ pub fn simulate_faulty_with_scratch(
     SimReport {
         makespan_cycles: makespan,
         mean_packet_latency_cycles: mean,
+        total_packet_latency_cycles: total_latency,
         p95_packet_latency_cycles: p95,
         packets,
         flit_hops,

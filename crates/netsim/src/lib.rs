@@ -40,8 +40,8 @@ mod routing;
 pub use analytical::{analyze, analyze_with_table, AnalyticalReport};
 pub use calendar::CalendarQueue;
 pub use des::{
-    simulate, simulate_faulty_with_scratch, simulate_with_scratch, simulate_with_table, LinkFaults,
-    SimConfig, SimReport, SimScratch,
+    simulate, simulate_faulty_with_scratch, simulate_with_scratch, simulate_with_table,
+    split_components_into, LinkFaults, SimConfig, SimReport, SimScratch,
 };
 pub use flow::{sample_flows, sample_flows_into, total_bytes, Flow};
 pub use patterns::{all_patterns, generate_pattern, generate_pipeline, TrafficPattern};

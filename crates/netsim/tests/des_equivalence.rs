@@ -211,14 +211,16 @@ fn reference_simulate(
     let mut latencies: Vec<u64> = packets.iter().map(|p| p.delivered_at).collect();
     latencies.sort_unstable();
     let makespan = latencies.last().copied().unwrap_or(0);
+    let total_latency: u64 = latencies.iter().sum();
     let mean = if latencies.is_empty() {
         0.0
     } else {
-        latencies.iter().sum::<u64>() as f64 / latencies.len() as f64
+        total_latency as f64 / latencies.len() as f64
     };
     SimReport {
         makespan_cycles: makespan,
         mean_packet_latency_cycles: mean,
+        total_packet_latency_cycles: total_latency,
         p95_packet_latency_cycles: percentile_nearest_rank(&latencies, 95),
         packets: latencies.len() as u64,
         flit_hops,

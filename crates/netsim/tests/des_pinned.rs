@@ -5,8 +5,9 @@
 //! fault model. The cases below run the `noi_hifi` regime instead:
 //! 300 flows of 2–64 KiB on a 10×10 Floret at 256-byte packets, so the
 //! scheduler holds hundreds of live events and moves ~41k packets. Every
-//! [`SimReport`] field is pinned bit for bit (floats through `to_bits`),
-//! for
+//! [`SimReport`] field is pinned bit for bit (floats through `to_bits`;
+//! `total_packet_latency_cycles`, added after the others, is each case's
+//! pinned mean times its 41,102 packets, exactly), for
 //!
 //! * (a) the default hardware (a 4-cycle NI delay);
 //! * (b) `router_pipeline_cycles: 0`, where each source's first
@@ -59,13 +60,14 @@ fn fabric() -> Topology {
 }
 
 /// Every report field as `(name, bits)`, floats through `to_bits`.
-fn fields(r: &SimReport) -> [(&'static str, u64); 12] {
+fn fields(r: &SimReport) -> [(&'static str, u64); 13] {
     [
         ("makespan_cycles", r.makespan_cycles),
         (
             "mean_packet_latency_cycles",
             r.mean_packet_latency_cycles.to_bits(),
         ),
+        ("total_packet_latency_cycles", r.total_packet_latency_cycles),
         ("p95_packet_latency_cycles", r.p95_packet_latency_cycles),
         ("packets", r.packets),
         ("flit_hops", r.flit_hops),
@@ -85,7 +87,7 @@ fn fields(r: &SimReport) -> [(&'static str, u64); 12] {
     ]
 }
 
-fn assert_pinned(got: &SimReport, want: [u64; 12]) {
+fn assert_pinned(got: &SimReport, want: [u64; 13]) {
     for ((name, bits), want) in fields(got).into_iter().zip(want) {
         assert_eq!(bits, want, "field {name} drifted in {got:?}");
     }
@@ -102,6 +104,7 @@ fn burst_on_default_hardware_is_pinned() {
         [
             32_433,
             0x40c9_2f96_55c7_1286, // 12895.174492725415
+            530_017_462,           // the mean x 41,102 packets
             27_891,
             41_102,
             2_837_073,
@@ -130,6 +133,7 @@ fn burst_through_the_queue_is_pinned() {
         [
             32_416,
             0x40c8_e636_6552_e00c, // 12748.424967154882
+            523_985_763,           // the mean x 41,102 packets
             26_641,
             41_102,
             2_877_291,
@@ -178,6 +182,7 @@ fn link_blackouts_are_pinned() {
         [
             90_331,
             0x40ca_e994_2bb2_d14d, // 13779.157583572576
+            566_350_935,           // the mean x 41,102 packets
             28_163,
             41_102,
             2_837_073,

@@ -2,14 +2,19 @@
 //! via [`netsim::RouteTable::path_into`] allocates nothing once its
 //! scratch buffer has grown to the longest path, and an entire
 //! simulation through a warm [`netsim::SimScratch`] — packet build,
-//! event loop, report assembly — allocates nothing at all. The
+//! event loop, report assembly — allocates nothing at all, and neither
+//! does splitting a flow set into channel-disjoint components
+//! ([`netsim::split_components_into`]) and simulating each. The
 //! buffer-reuse rework also changes no observable simulation output
 //! (packet counts, report equality).
 
 use std::alloc::{GlobalAlloc, Layout, System};
 use std::cell::Cell;
 
-use netsim::{simulate_with_scratch, simulate_with_table, Flow, RouteTable, SimConfig, SimScratch};
+use netsim::{
+    simulate_with_scratch, simulate_with_table, split_components_into, Flow, RouteTable, SimConfig,
+    SimReport, SimScratch,
+};
 use topology::{kite, mesh2d, HwParams, NodeId};
 
 /// System allocator wrapped with a per-thread allocation counter. The
@@ -115,6 +120,50 @@ fn warm_simulate_with_scratch_is_allocation_free() {
         "a warm scratch re-run must not touch the allocator"
     );
     assert_eq!(rerun, warm, "and must stay bit-identical");
+}
+
+/// The split's union-find buffers live in the [`SimScratch`] and its
+/// output in caller-owned vectors, so once all of them are warm, a split
+/// plus one DES run per component allocates nothing.
+#[test]
+fn warm_component_split_is_allocation_free() {
+    let topo = kite(6, 6).unwrap();
+    let hw = HwParams::default();
+    let rt = RouteTable::build(&topo, &hw);
+    let cfg = SimConfig { packet_bytes: 256 };
+    // Disjoint row-local pairs plus a shared-source fan-out: several
+    // components of different sizes.
+    let mut flows: Vec<Flow> = (0..6)
+        .map(|r| Flow::new(NodeId(6 * r), NodeId(6 * r + 1), 1024))
+        .collect();
+    flows.extend((2..6).map(|c| Flow::new(NodeId(8), NodeId(6 * c + 4), 3000)));
+    let mut scratch = SimScratch::new();
+    let (mut out, mut ends) = (Vec::new(), Vec::new());
+    let mut reports: Vec<SimReport> = Vec::with_capacity(flows.len());
+    let mut split_and_run = |scratch: &mut SimScratch, reports: &mut Vec<SimReport>| {
+        split_components_into(&topo, &flows, &rt, scratch, &mut out, &mut ends);
+        reports.clear();
+        let mut start = 0;
+        for &end in &ends {
+            let part = &out[start..end];
+            reports.push(simulate_with_scratch(&topo, &hw, part, &cfg, &rt, scratch));
+            start = end;
+        }
+    };
+
+    split_and_run(&mut scratch, &mut reports);
+    assert!(reports.len() > 1, "the pattern must split");
+    let warm = reports.clone();
+    split_and_run(&mut scratch, &mut reports);
+    let before = alloc_count();
+    split_and_run(&mut scratch, &mut reports);
+    let after = alloc_count();
+    assert_eq!(
+        after - before,
+        0,
+        "a warm split must not touch the allocator"
+    );
+    assert_eq!(reports, warm, "and must stay bit-identical");
 }
 
 #[test]
