@@ -1,5 +1,5 @@
 //! The `pim-bench` command-line interface: one CLI over the central
-//! experiment registry, replacing twenty hand-rolled binaries.
+//! experiment registry.
 //!
 //! ```text
 //! pim-bench list
@@ -15,8 +15,7 @@
 //! `run` builds one declarative [`Scenario`] from the flags, resolves it
 //! once, and executes every requested experiment against a shared
 //! [`pim_core::RunContext`] — so `run all` constructs the four 2.5D
-//! platforms exactly once. The legacy per-figure binaries are thin
-//! shims over [`shim`].
+//! platforms exactly once.
 
 use std::fmt;
 
@@ -64,7 +63,7 @@ EXAMPLES:
     pim-bench run dataflows --workload WL1 --dataflow WS --dataflow FL
     pim-bench run mapping_search --workload WL3   # searched loop nests vs the hand modes
     pim-bench run table1 fig3 --format json --out results.json
-    pim-bench run all --format json        # supersedes the export_json binary
+    pim-bench run all --format json        # every experiment, one JSON array
     pim-bench run fig5 --set sim_sampling=32 --set batch=4 --threads 1
     pim-bench run poisson --strategy greedy
     pim-bench perf --quick --max-seconds 300 --gate BENCH_13_quick.json";
@@ -387,30 +386,6 @@ pub fn run_from<I: IntoIterator<Item = String>>(args: I) -> i32 {
             1
         }
     }
-}
-
-/// Entry point for the thin per-figure binary shims: runs
-/// `pim-bench run <experiment>` with any extra command-line flags
-/// passed through (`fig3 --format json` works).
-pub fn shim(experiment: &str) -> i32 {
-    let mut args: Vec<String> = vec!["run".to_string(), experiment.to_string()];
-    args.extend(std::env::args().skip(1));
-    run_from(args)
-}
-
-/// Entry point for the deprecated `export_json` binary: forwards to
-/// `pim-bench run all --format json` and tells the user about the new
-/// command on stderr.
-pub fn export_json_shim() -> i32 {
-    eprintln!(
-        "export_json is deprecated; forwarding to `pim-bench run all --format json` \
-         (note: the JSON shape is now a uniform array of experiment outputs)."
-    );
-    run_from(
-        ["run", "all", "--format", "json"]
-            .into_iter()
-            .map(String::from),
-    )
 }
 
 #[cfg(test)]

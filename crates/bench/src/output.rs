@@ -1,8 +1,6 @@
 //! The presentation layer: renders [`ExperimentOutput`] as an aligned
 //! ASCII table, JSON (via the vendored `serde_json`) or CSV, plus the
-//! formatting helpers the legacy binaries shared (`section`, `ratio`,
-//! and re-exports of the normalization/heat-map helpers that live with
-//! the experiment code in `pim_core`).
+//! cell formatting helpers ([`ratio`], [`duration`]).
 //!
 //! Every format renders the *same* structured data — the typed column
 //! schema decides alignment and float precision, so no experiment owns
@@ -12,13 +10,6 @@ use std::fmt;
 use std::str::FromStr;
 
 use pim_core::{CellValue, ColumnType, ExperimentOutput, Histogram, Table};
-
-pub use pim_core::experiments::{ascii_heatmap, normalize_to_floret};
-
-/// Prints a horizontal rule with a title.
-pub fn section(title: &str) {
-    println!("\n=== {title} ===");
-}
 
 /// Formats a ratio as `x.xx×`.
 pub fn ratio(v: f64) -> String {
@@ -226,7 +217,7 @@ fn render_table_csv(experiment: &str, t: &Table, out: &mut String) {
 
 /// Renders experiment outputs in the requested [`Format`].
 ///
-/// The table format reproduces the legacy binaries' sectioned layout
+/// The table format prints one `=== title ===` section per table
 /// (schema-driven alignment and precision); JSON is a pretty-printed
 /// array of the full structured outputs; CSV emits one header+rows
 /// block per table with `#` comment lines for provenance and notes.
@@ -300,15 +291,6 @@ mod tests {
         o.tables.push(t);
         o.notes.push("a note".to_string());
         o
-    }
-
-    #[test]
-    fn heatmap_shape() {
-        let slice = vec![vec![300.0, 350.0], vec![400.0, 325.0]];
-        let map = ascii_heatmap(&slice, 300.0, 400.0);
-        assert_eq!(map.lines().count(), 2);
-        assert!(map.starts_with(". "));
-        assert!(map.contains('@'));
     }
 
     #[test]

@@ -2,13 +2,11 @@
 //! trajectory for the repository.
 //!
 //! One invocation times every registered experiment twice in the same
-//! process — once on the optimized path (shared [`pim_core::EvalCache`],
-//! red-black SOR thermal solver) and once on the baseline path (cache
-//! bypassed, the seed's reference Gauss-Seidel solver; its snapshot DES
+//! process — once on the optimized path (shared [`pim_core::EvalCache`])
+//! and once on the baseline path (cache bypassed; its snapshot DES
 //! still runs by channel-disjoint component, only without the memo) —
-//! plus solver and
-//! DES, serving and mapping-search micro-benchmarks, and writes the
-//! result as JSON
+//! plus solver, DES, serving and mapping-search micro-benchmarks, and
+//! writes the result as JSON
 //! (`BENCH_18.json` at the repo root is the committed baseline of this
 //! PR). Future PRs
 //! append `BENCH_<n>.json` files, giving every change a comparable,
@@ -37,7 +35,7 @@ use pim_core::{
     ResilienceParams, RunContext, Scenario, ScenarioError, ServingSpec,
 };
 use serde::Serialize;
-use thermal::{solve_red_black, solve_reference, PowerMap, Solver, ThermalConfig};
+use thermal::{solve_red_black, solve_reference, PowerMap, ThermalConfig};
 use topology::{mesh2d, HwParams, NodeId};
 
 /// Wall-clock timing of one registered experiment in one pass.
@@ -45,9 +43,9 @@ use topology::{mesh2d, HwParams, NodeId};
 pub struct ExperimentTiming {
     /// Registry name.
     pub name: String,
-    /// Optimized pass (cache + red-black solver), milliseconds.
+    /// Optimized pass (evaluation cache on), milliseconds.
     pub optimized_ms: f64,
-    /// Baseline pass (no cache + reference solver), milliseconds.
+    /// Baseline pass (evaluation cache bypassed), milliseconds.
     pub baseline_ms: f64,
     /// `baseline_ms / optimized_ms`.
     pub speedup: f64,
@@ -193,9 +191,6 @@ pub struct PerfReport {
     pub experiments: Vec<ExperimentTiming>,
     /// The `run all` cached-vs-baseline comparison.
     pub run_all: RunAllComparison,
-    /// The thermal-bound experiments (solver-isolating comparison: the
-    /// evaluation cache plays no part in them).
-    pub thermal_experiments: Vec<ExperimentTiming>,
     /// Thermal-solver micro-benchmark.
     pub solver: SolverMicro,
     /// DES scheduler micro-counters.
@@ -209,11 +204,6 @@ pub struct PerfReport {
     /// Evaluation-cache traffic of the optimized pass.
     pub cache: CacheSummary,
 }
-
-/// The experiments whose wall time is dominated by the thermal solver
-/// (Platform3D evaluation loops); their baseline/optimized ratio
-/// isolates the red-black SOR speedup.
-const THERMAL_EXPERIMENTS: [&str; 4] = ["fig6", "fig7", "pareto", "ablation_thermal"];
 
 /// The cells the CI perf gate watches: the three sweeps that dominate
 /// `run all` wall time and exercise the mapper/DES hot path end to end.
@@ -472,20 +462,15 @@ pub fn run(quick: bool) -> Result<PerfReport, ScenarioError> {
         experiments::registry().run(&ctx, "fig3")?;
     }
 
-    // Optimized pass: shared evaluation cache + red-black SOR.
-    thermal::set_default_solver(Solver::RedBlackSor);
+    // Optimized pass: shared evaluation cache.
     let optimized = timed_pass(&scenario, true)?;
     let cache = CacheSummary {
         stats: optimized.ctx.cache_stats().unwrap_or_default(),
         fingerprint: format!("{:016x}", optimized.ctx.cache_fingerprint().unwrap_or(0)),
     };
 
-    // Baseline pass: cache bypassed, seed Gauss-Seidel solver — the
-    // pre-PR execution paths, measured in the same process.
-    thermal::set_default_solver(Solver::GaussSeidelReference);
-    let baseline_result = timed_pass(&scenario, false);
-    thermal::set_default_solver(Solver::RedBlackSor);
-    let baseline = baseline_result?;
+    // Baseline pass: cache bypassed, measured in the same process.
+    let baseline = timed_pass(&scenario, false)?;
 
     let experiments: Vec<ExperimentTiming> = optimized
         .times
@@ -501,11 +486,6 @@ pub fn run(quick: bool) -> Result<PerfReport, ScenarioError> {
             }
         })
         .collect();
-    let thermal_experiments = experiments
-        .iter()
-        .filter(|e| THERMAL_EXPERIMENTS.contains(&e.name.as_str()))
-        .cloned()
-        .collect();
 
     Ok(PerfReport {
         schema: "pim-bench-perf-v1",
@@ -518,7 +498,6 @@ pub fn run(quick: bool) -> Result<PerfReport, ScenarioError> {
             baseline_ms: baseline.total_ms,
             speedup: baseline.total_ms / optimized.total_ms.max(f64::MIN_POSITIVE),
         },
-        thermal_experiments,
         solver: solver_micro(),
         des: des_micro(),
         // ≥ 1M events either way; --quick only trims the horizon.
@@ -545,12 +524,6 @@ impl PerfReport {
             self.cache.stats.hits,
             self.cache.stats.misses,
         ));
-        for e in &self.thermal_experiments {
-            out.push_str(&format!(
-                "{:<16} {:>8.1} ms vs {:>8.1} ms  ({:.2}x, solver-bound)\n",
-                e.name, e.optimized_ms, e.baseline_ms, e.speedup
-            ));
-        }
         out.push_str(&format!(
             "thermal solve 5x5x4: {:.3} ms ({} sweeps) vs {:.3} ms ({} sweeps) = {:.1}x\n",
             self.solver.red_black_ms,
@@ -777,7 +750,6 @@ mod tests {
                 baseline_ms: 1.0,
                 speedup: 1.0,
             },
-            thermal_experiments: Vec::new(),
             solver: SolverMicro {
                 grid: (5, 5, 4),
                 red_black_ms: 1.0,

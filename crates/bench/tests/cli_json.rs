@@ -4,7 +4,8 @@
 //! re-render), so `--format json` can never emit text that a JSON
 //! consumer would reject. Degenerate and oversized `--set` overrides
 //! must exit 1 promptly with a typed config error, and so must products
-//! of fields over their budget and non-physical thermal or power values.
+//! of fields over their budget, non-physical thermal or power values,
+//! and valid configs too small for a 3D experiment's model.
 
 use std::process::{Command, Stdio};
 use std::time::{Duration, Instant};
@@ -68,11 +69,14 @@ fn config_rejections_surface_as_clean_cli_errors() {
 #[test]
 fn oversized_inputs_exit_promptly_with_a_config_error() {
     // Each override once sized a route table or the packet simulator's
-    // arena past available memory (an abort), ran for minutes, or gave
-    // non-physical temperatures with exit 0; the validator must reject it
-    // before any platform is built.
+    // arena past available memory (an abort), ran for minutes, gave
+    // non-physical temperatures with exit 0, or panicked (exit 101) in a
+    // 3D experiment whose model no longer fits the stack. The validator
+    // must reject the first kinds before any platform is built; the last
+    // kind is valid config, so the experiment returns a typed error.
     const CELL: [&str; 6] = ["run", "fig3", "--workload", "WL1", "--arch", "Kite"];
-    let probes: [(&[&str], &[&str], &str); 9] = [
+    const UNFIT: &str = "model does not fit the system: insufficient capacity";
+    let probes: [(&[&str], &[&str], &str); 15] = [
         (&CELL, &["batch=4294967295"], "`batch` must be <= 1024"),
         (&CELL, &["batch=1000000"], "`batch` must be <= 1024"),
         (
@@ -102,6 +106,16 @@ fn oversized_inputs_exit_promptly_with_a_config_error() {
             &["dynamic_power_budget_w=NaN"],
             "`dynamic_power_budget_w` must be finite and >= 0",
         ),
+        (&["run", "fig6"], &["tiers=1"], UNFIT),
+        (&["run", "fig7"], &["pim.crossbars_per_node=1"], UNFIT),
+        (&["run", "fig6"], &["width=2", "height=2"], UNFIT),
+        (&["run", "fig7"], &["width=2", "height=2"], UNFIT),
+        (&["run", "pareto"], &["width=2", "height=2"], UNFIT),
+        (
+            &["run", "ablation_thermal"],
+            &["width=2", "height=2"],
+            UNFIT,
+        ),
     ];
     for (run, sets, expected) in probes {
         let mut cmd = Command::new(env!("CARGO_BIN_EXE_pim-bench"));
@@ -125,9 +139,10 @@ fn oversized_inputs_exit_promptly_with_a_config_error() {
         let out = child.wait_with_output().expect("pim-bench exits");
         let stderr = String::from_utf8_lossy(&out.stderr);
         assert_eq!(out.status.code(), Some(1), "`--set {sets:?}`: {stderr}");
+        let config_error = expected != UNFIT;
         assert!(
-            stderr.contains("invalid config") && stderr.contains(expected),
-            "`--set {sets:?}`: {stderr}"
+            stderr.contains(expected) && (!config_error || stderr.contains("invalid config")),
+            "`{run:?} --set {sets:?}`: {stderr}"
         );
     }
 }

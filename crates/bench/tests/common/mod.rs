@@ -10,7 +10,7 @@ pub fn run_cli(args: &[&str]) -> String {
     run_cli_env(args, &[])
 }
 
-/// [`run_cli`] with extra environment variables (the cache/solver knobs).
+/// [`run_cli`] with extra environment variables (the cache knobs).
 #[allow(dead_code)] // each integration-test binary uses its own subset
 pub fn run_cli_env(args: &[&str], envs: &[(&str, &str)]) -> String {
     let out = Command::new(env!("CARGO_BIN_EXE_pim-bench"))

@@ -1,9 +1,9 @@
-use pim_core::{experiments, SystemConfig};
+use pim_core::{default_threads, experiments, ScenarioError, SystemConfig};
 
-fn main() {
+fn main() -> Result<(), ScenarioError> {
     let cfg = SystemConfig::stacked_3d();
     let sa = experiments::joint_sa_config();
-    let rows = experiments::fig6_rows(&cfg, &sa);
+    let rows = experiments::fig6_rows(&cfg, &sa, default_threads())?;
     for r in &rows {
         println!(
             "{} {} edp_F={:.3e} edp_J={:.3e} pk_F={:.1} pk_J={:.1} dT={:.1} accF={:.3} accJ={:.3} edpJ/F={:.3}",
@@ -13,7 +13,7 @@ fn main() {
             r.joint.edp_js / r.floret.edp_js
         );
     }
-    let f7 = experiments::fig7_maps(&cfg, &sa);
+    let f7 = experiments::fig7_maps(&cfg, &sa)?;
     println!(
         "fig7: floret_peak={:.1} joint_peak={:.1} dT={:.1} hotspots {} vs {}",
         f7.floret_peak_k,
@@ -22,4 +22,5 @@ fn main() {
         f7.floret_hotspots,
         f7.joint_hotspots
     );
+    Ok(())
 }

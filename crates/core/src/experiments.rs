@@ -20,7 +20,7 @@ use netsim::{
 use opt::{NsgaConfig, SaConfig};
 use serde::{Deserialize, Serialize};
 use thermal::ThermalConfig;
-use topology::{kite, kite_with_skips, NodeId, TopologySummary};
+use topology::{kite, kite_with_skips, NodeId};
 
 use crate::arch::NoiArch;
 use crate::config::SystemConfig;
@@ -33,7 +33,7 @@ use crate::scenario::{
     ResolvedScenario, RunContext, ScenarioError, Table,
 };
 use crate::serving::{simulate_resilient_serving, simulate_serving, ResilienceParams, ServingSpec};
-use crate::sweep::{default_threads, parallel_map, SweepRunner};
+use crate::sweep::{parallel_map, SweepRunner};
 
 /// Table I row: paper's printed parameter count next to ours.
 #[derive(Clone, Debug, PartialEq, Serialize, Deserialize)]
@@ -96,45 +96,6 @@ pub fn table2_rows() -> Vec<Table2Row> {
         .collect()
 }
 
-/// Fig. 2: structural summaries of the four NoIs (port histograms, link
-/// counts, areas) for the 100-chiplet system.
-pub fn fig2_summaries(cfg: &SystemConfig) -> Vec<TopologySummary> {
-    SweepRunner::new(cfg)
-        .expect("paper architectures build")
-        .fig2_summaries()
-}
-
-/// Fig. 3/4/5: one workload executed on one architecture. For a single
-/// cell the platform is built directly; grids should go through
-/// [`SweepRunner`] so construction is paid once per architecture.
-pub fn run_arch_workload(cfg: &SystemConfig, arch: NoiArch, wl_name: &str) -> WorkloadReport {
-    let wl = dnn::table2_workload(wl_name).expect("table II workload");
-    Platform25D::new(arch, cfg)
-        .expect("paper architectures build")
-        .run_workload(&wl)
-}
-
-/// Fig. 3/4/5: the full architecture x workload sweep on the shared
-/// engine — each platform constructed once, cells fanned across scoped
-/// threads, output bit-identical to the sequential per-cell loop it
-/// replaced (workload-major, [`NoiArch::all`] order).
-pub fn fig345_sweep(cfg: &SystemConfig) -> Vec<WorkloadReport> {
-    SweepRunner::new(cfg)
-        .expect("paper architectures build")
-        .fig345_sweep()
-}
-
-/// The dataflow figure: every Table II mix × the four [`dnn::Dataflow`]
-/// modes × the four architectures on the shared engine — workload-major,
-/// then dataflow, then [`NoiArch::all`] order, so each chunk of 16 rows
-/// is one mix and the weight-stationary rows reproduce [`fig345_sweep`]'s
-/// cells exactly.
-pub fn dataflow_sweep(cfg: &SystemConfig) -> Vec<WorkloadReport> {
-    SweepRunner::new(cfg)
-        .expect("paper architectures build")
-        .dataflow_sweep()
-}
-
 /// Cost-comparison row.
 #[derive(Clone, Debug, PartialEq, Serialize, Deserialize)]
 pub struct CostRow {
@@ -148,15 +109,10 @@ pub struct CostRow {
     pub ratio_vs_floret: f64,
 }
 
-/// Regenerates the Section II fabrication-cost comparison.
-pub fn cost_rows(cfg: &SystemConfig) -> Vec<CostRow> {
-    cost_rows_on(&SweepRunner::new(cfg).expect("paper architectures build"))
-}
-
-/// [`cost_rows`] on an already-built engine (no platform rebuilds).
-/// Ratios are normalized to Floret, or to the engine's first
-/// architecture when a scenario's subset excludes Floret.
-pub fn cost_rows_on(runner: &SweepRunner) -> Vec<CostRow> {
+/// Regenerates the Section II fabrication-cost comparison on the
+/// engine's platforms. Ratios are normalized to Floret, or to the
+/// engine's first architecture when a scenario's subset excludes Floret.
+pub fn cost_rows(runner: &SweepRunner) -> Vec<CostRow> {
     let model = CostModel::default();
     let areas: Vec<(String, f64)> = runner
         .platforms()
@@ -216,31 +172,36 @@ pub fn joint_sa_config() -> SaConfig {
 
 /// Regenerates Fig. 6 (EDP, peak temperature, accuracy impact). The 3D
 /// platform is built once and the per-model optimization runs (each a
-/// pure function of its seeded annealing schedule) fan across scoped
-/// workers; output order and values match the sequential loop exactly.
-pub fn fig6_rows(cfg: &SystemConfig, sa: &SaConfig) -> Vec<Fig6Row> {
-    fig6_rows_on(cfg, sa, default_threads())
-}
-
-/// [`fig6_rows`] with an explicit worker count (the scenario `--threads`
-/// surface; values are identical for any count).
-pub fn fig6_rows_on(cfg: &SystemConfig, sa: &SaConfig, threads: usize) -> Vec<Fig6Row> {
-    let platform = Platform3D::new(cfg).expect("3d platform builds");
+/// pure function of its seeded annealing schedule) fan across `threads`
+/// scoped workers; output order and values match the sequential loop
+/// exactly, for any worker count.
+///
+/// # Errors
+///
+/// [`ScenarioError::Topology`] when `cfg` builds no 3D NoC and
+/// [`ScenarioError::Placement`] when a model does not fit the stack
+/// (the first such model in [`fig6_models`] order).
+pub fn fig6_rows(
+    cfg: &SystemConfig,
+    sa: &SaConfig,
+    threads: usize,
+) -> Result<Vec<Fig6Row>, ScenarioError> {
+    let platform = Platform3D::new(cfg)?;
     let models = fig6_models();
     parallel_map(&models, threads, |e| {
         let g = build_model(e.kind, e.dataset).expect("table models build");
         let sg = SegmentGraph::from_layer_graph(&g);
-        let floret = platform
-            .evaluate(&sg, &platform.sfc_order())
-            .expect("fig6 models fit");
-        let (_, joint) = platform.optimize(&sg, sa).expect("fig6 models fit");
-        Fig6Row {
+        let floret = platform.evaluate(&sg, &platform.sfc_order())?;
+        let (_, joint) = platform.optimize(&sg, sa)?;
+        Ok(Fig6Row {
             id: e.id.to_string(),
             model: e.kind.to_string(),
             floret,
             joint,
-        }
+        })
     })
+    .into_iter()
+    .collect()
 }
 
 /// Fig. 7 output: bottom-tier temperature maps for both mappings plus
@@ -262,27 +223,32 @@ pub struct Fig7Maps {
 }
 
 /// Regenerates Fig. 7 (ResNet-34 thermal maps on the 100-PE system).
-pub fn fig7_maps(cfg: &SystemConfig, sa: &SaConfig) -> Fig7Maps {
-    let platform = Platform3D::new(cfg).expect("3d platform builds");
+///
+/// # Errors
+///
+/// [`ScenarioError::Topology`] when `cfg` builds no 3D NoC and
+/// [`ScenarioError::Placement`] when ResNet-34 does not fit the stack.
+pub fn fig7_maps(cfg: &SystemConfig, sa: &SaConfig) -> Result<Fig7Maps, ScenarioError> {
+    let platform = Platform3D::new(cfg)?;
     let g = build_model(dnn::ModelKind::ResNet34, dnn::Dataset::Cifar10).expect("resnet34 builds");
     let sg = SegmentGraph::from_layer_graph(&g);
     let bottom = cfg.tiers - 1;
 
-    let sfc_placement = platform.place(&sg, &platform.sfc_order()).expect("fits");
+    let sfc_placement = platform.place(&sg, &platform.sfc_order())?;
     let sfc_map = platform.thermal_map(&sg, &sfc_placement);
 
-    let (joint_order, _) = platform.optimize(&sg, sa).expect("fits");
-    let joint_placement = platform.place(&sg, &joint_order).expect("fits");
+    let (joint_order, _) = platform.optimize(&sg, sa)?;
+    let joint_placement = platform.place(&sg, &joint_order)?;
     let joint_map = platform.thermal_map(&sg, &joint_placement);
 
-    Fig7Maps {
+    Ok(Fig7Maps {
         floret_bottom_tier: sfc_map.tier_slice(bottom),
         joint_bottom_tier: joint_map.tier_slice(bottom),
         floret_peak_k: sfc_map.peak_k(),
         joint_peak_k: joint_map.peak_k(),
         floret_hotspots: sfc_map.hotspot_count(330.0),
         joint_hotspots: joint_map.hotspot_count(330.0),
-    }
+    })
 }
 
 /// Section IV: Transformer intermediate-storage sweep for BERT-Tiny and
@@ -389,8 +355,7 @@ pub fn ascii_heatmap(slice: &[Vec<f64>], lo: f64, hi: f64) -> String {
 // ====================================================================
 // The standard experiment registry: every paper artifact registered
 // once, each run function a pure map from RunContext to the uniform
-// ExperimentOutput shape. The `pim-bench` CLI (and the thin per-figure
-// bin shims) are the only printers.
+// ExperimentOutput shape. The `pim-bench` CLI is the only printer.
 // ====================================================================
 
 macro_rules! cells {
@@ -775,7 +740,7 @@ fn run_fig5(ctx: &RunContext) -> Result<ExperimentOutput, ScenarioError> {
 fn run_fig6(ctx: &RunContext) -> Result<ExperimentOutput, ScenarioError> {
     let s = ctx.scenario();
     let sa = scenario_sa_config(ctx);
-    let rows = fig6_rows_on(&s.cfg3d, &sa, s.threads);
+    let rows = fig6_rows(&s.cfg3d, &sa, s.threads)?;
     let mut out = ExperimentOutput::new("fig6", "");
 
     let mut edp = Table::new(
@@ -852,7 +817,7 @@ fn run_fig6(ctx: &RunContext) -> Result<ExperimentOutput, ScenarioError> {
 fn run_fig7(ctx: &RunContext) -> Result<ExperimentOutput, ScenarioError> {
     let s = ctx.scenario();
     let sa = scenario_sa_config(ctx);
-    let maps = fig7_maps(&s.cfg3d, &sa);
+    let maps = fig7_maps(&s.cfg3d, &sa)?;
     let lo = 300.0;
     let hi = maps.floret_peak_k.max(maps.joint_peak_k);
     let mut out = ExperimentOutput::new("fig7", "");
@@ -1064,7 +1029,7 @@ fn run_mapping_search(ctx: &RunContext) -> Result<ExperimentOutput, ScenarioErro
 
 fn run_cost(ctx: &RunContext) -> Result<ExperimentOutput, ScenarioError> {
     let runner = ctx.runner()?;
-    let rows = cost_rows_on(runner);
+    let rows = cost_rows(runner);
     let mut out = ExperimentOutput::new("cost", "");
     let mut t = Table::new(
         "Section II cost analysis (Eq. 2-5, AMD 864mm2/64-chiplet reference)",
@@ -1763,7 +1728,7 @@ fn run_faults(ctx: &RunContext) -> Result<ExperimentOutput, ScenarioError> {
 
 fn run_pareto(ctx: &RunContext) -> Result<ExperimentOutput, ScenarioError> {
     let s = ctx.scenario();
-    let platform = Platform3D::new(&s.cfg3d).expect("3d platform builds");
+    let platform = Platform3D::new(&s.cfg3d)?;
     let net = build_model(ModelKind::ResNet34, Dataset::Cifar10).expect("resnet34 builds");
     let sg = SegmentGraph::from_layer_graph(&net);
     let nsga = NsgaConfig {
@@ -1771,7 +1736,7 @@ fn run_pareto(ctx: &RunContext) -> Result<ExperimentOutput, ScenarioError> {
         generations: 30,
         seed: s.seed_or(0xFACE),
     };
-    let front = platform.pareto_front(&sg, &nsga).expect("resnet34 fits");
+    let front = platform.pareto_front(&sg, &nsga)?;
 
     let mut out = ExperimentOutput::new("pareto", "");
     let mut t = Table::new(
@@ -1873,8 +1838,8 @@ fn run_ablation_thermal(ctx: &RunContext) -> Result<ExperimentOutput, ScenarioEr
             thermal,
             ..s.cfg3d.clone()
         };
-        let platform = Platform3D::new(&cfg).expect("3d platform builds");
-        let eval = platform.evaluate(&sg, &platform.sfc_order()).expect("fits");
+        let platform = Platform3D::new(&cfg)?;
+        let eval = platform.evaluate(&sg, &platform.sfc_order())?;
         stacks.push(cells![
             name,
             eval.peak_k,
@@ -1901,8 +1866,8 @@ fn run_ablation_thermal(ctx: &RunContext) -> Result<ExperimentOutput, ScenarioEr
             },
             ..s.cfg3d.clone()
         };
-        let platform = Platform3D::new(&cfg).expect("3d platform builds");
-        let eval = platform.evaluate(&sg, &platform.sfc_order()).expect("fits");
+        let platform = Platform3D::new(&cfg)?;
+        let eval = platform.evaluate(&sg, &platform.sfc_order())?;
         sweep.push(cells![g, eval.peak_k, eval.accuracy_drop * 100.0]);
     }
     out.tables.push(sweep);
@@ -1926,8 +1891,8 @@ mod tests {
 
     #[test]
     fn fig2_has_four_architectures() {
-        let cfg = SystemConfig::datacenter_25d();
-        let rows = fig2_summaries(&cfg);
+        let runner = SweepRunner::new(&SystemConfig::datacenter_25d()).unwrap();
+        let rows = runner.fig2_summaries();
         assert_eq!(rows.len(), 4);
         for r in &rows {
             assert_eq!(r.routers, 100);
@@ -1936,8 +1901,7 @@ mod tests {
 
     #[test]
     fn cost_rows_normalized_to_floret() {
-        let cfg = SystemConfig::datacenter_25d();
-        let rows = cost_rows(&cfg);
+        let rows = cost_rows(&SweepRunner::new(&SystemConfig::datacenter_25d()).unwrap());
         let floret = rows.iter().find(|r| r.arch == "Floret").unwrap();
         assert!((floret.ratio_vs_floret - 1.0).abs() < 1e-12);
         for r in &rows {
@@ -1973,7 +1937,9 @@ mod tests {
     #[test]
     fn fig345_single_run_is_complete() {
         let cfg = SystemConfig::datacenter_25d();
-        let r = run_arch_workload(&cfg, NoiArch::Floret { lambda: 6 }, "WL1");
+        let r = Platform25D::new(NoiArch::Floret { lambda: 6 }, &cfg)
+            .unwrap()
+            .run_workload(&dnn::table2_workload("WL1").unwrap());
         assert_eq!(r.arch, "Floret");
         assert_eq!(r.workload, "WL1");
         assert!(r.total_traffic_bytes > 0);
@@ -1981,6 +1947,15 @@ mod tests {
             r.noi_energy_pj > r.noi_dynamic_energy_pj,
             "static share present"
         );
+    }
+
+    #[test]
+    fn heatmap_shape() {
+        let slice = vec![vec![300.0, 350.0], vec![400.0, 325.0]];
+        let map = ascii_heatmap(&slice, 300.0, 400.0);
+        assert_eq!(map.lines().count(), 2);
+        assert!(map.starts_with(". "));
+        assert!(map.contains('@'));
     }
 
     #[test]

@@ -41,7 +41,7 @@ use std::cell::OnceCell;
 use std::fmt;
 
 use dnn::{Dataflow, Workload};
-use mapper::StrategyKind;
+use mapper::{MapError, StrategyKind};
 use serde::{Deserialize, Serialize};
 use topology::TopologyError;
 
@@ -255,6 +255,9 @@ pub enum ScenarioError {
     /// A forced mapping strategy cannot apply to the selected
     /// architecture.
     Strategy(String),
+    /// The experiment's model does not fit the configured system (a
+    /// valid config too small for it, e.g. `--set tiers=1` under fig6).
+    Placement(MapError),
 }
 
 impl fmt::Display for ScenarioError {
@@ -271,6 +274,7 @@ impl fmt::Display for ScenarioError {
             ScenarioError::Serving(e) => write!(f, "invalid serving spec: {e}"),
             ScenarioError::Faults(e) => write!(f, "invalid fault spec: {e}"),
             ScenarioError::Strategy(msg) => write!(f, "invalid strategy: {msg}"),
+            ScenarioError::Placement(e) => write!(f, "model does not fit the system: {e}"),
         }
     }
 }
@@ -298,6 +302,12 @@ impl From<ServingError> for ScenarioError {
 impl From<FaultError> for ScenarioError {
     fn from(e: FaultError) -> Self {
         ScenarioError::Faults(e)
+    }
+}
+
+impl From<MapError> for ScenarioError {
+    fn from(e: MapError) -> Self {
+        ScenarioError::Placement(e)
     }
 }
 
@@ -657,7 +667,7 @@ pub type RunFn = fn(&RunContext) -> Result<ExperimentOutput, ScenarioError>;
 /// One registered experiment: name, description, run function.
 #[derive(Clone)]
 pub struct ExperimentSpec {
-    /// Registry key (also the legacy binary name).
+    /// Registry key (the `pim-bench run <name>` argument).
     pub name: &'static str,
     /// One-line description shown by `pim-bench list`/`describe`.
     pub description: &'static str,

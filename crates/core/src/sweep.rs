@@ -442,7 +442,7 @@ impl SweepRunner {
         // Tiny cells skip the cache: computing the workload fingerprint
         // costs more than the evaluation it would memoize.
         let out = if !self.cache.enabled || wl.task_count() < CACHE_MIN_TASKS {
-            platform.run_workload_dataflows_scratch(wl, dataflows, &mut scratch)
+            platform.run_workload_dataflows(wl, dataflows, &mut scratch)
         } else {
             let arch = platform.arch_name();
             let wfp = workload_fingerprint(wl);
@@ -561,19 +561,6 @@ impl SweepRunner {
             .iter()
             .find(|p| p.arch() == arch)
             .expect("SweepRunner caches every paper architecture")
-    }
-
-    /// Runs one (architecture, workload) cell on the cached platform.
-    pub fn run_arch_workload(&self, arch: &NoiArch, wl_name: &str) -> WorkloadReport {
-        let wl = dnn::table2_workload(wl_name).expect("table II workload");
-        let pi = self
-            .platforms
-            .iter()
-            .position(|p| p.arch() == arch)
-            .expect("SweepRunner caches every paper architecture");
-        self.eval_cell(pi, &wl, &[Dataflow::WeightStationary])
-            .pop()
-            .expect("one dataflow in, one report out")
     }
 
     /// The (workload × architecture) grid over the cached platforms:

@@ -40,20 +40,20 @@ fn dirty_scratch_matches_fresh_across_archs_and_workloads() {
     let modes = [Dataflow::WeightStationary, Dataflow::OutputStationary];
 
     // Fresh-scratch ground truth for the cell under test.
-    let expect = siam.run_workload_dataflows_scratch(&wl1, &modes, &mut SweepScratch::new());
+    let expect = siam.run_workload_dataflows(&wl1, &modes, &mut SweepScratch::new());
 
     // Dirty one scratch with a different arch, workload, and mode mix —
     // larger and smaller shapes both, so stale lengths in every
     // direction — then evaluate the cell on it.
     let mut scratch = SweepScratch::new();
-    kite.run_workload_dataflows_scratch(&wl4, &Dataflow::all(), &mut scratch);
-    siam.run_workload_dataflows_scratch(&tiny_workload(), &modes, &mut scratch);
-    let dirty = siam.run_workload_dataflows_scratch(&wl1, &modes, &mut scratch);
+    kite.run_workload_dataflows(&wl4, &Dataflow::all(), &mut scratch);
+    siam.run_workload_dataflows(&tiny_workload(), &modes, &mut scratch);
+    let dirty = siam.run_workload_dataflows(&wl1, &modes, &mut scratch);
     assert_eq!(dirty, expect, "dirty scratch must change nothing");
 
     // And the scratch is still clean for the *other* platform.
-    let kite_expect = kite.run_workload_dataflows_scratch(&wl4, &modes, &mut SweepScratch::new());
-    let kite_dirty = kite.run_workload_dataflows_scratch(&wl4, &modes, &mut scratch);
+    let kite_expect = kite.run_workload_dataflows(&wl4, &modes, &mut SweepScratch::new());
+    let kite_dirty = kite.run_workload_dataflows(&wl4, &modes, &mut scratch);
     assert_eq!(kite_dirty, kite_expect);
 }
 
@@ -69,15 +69,15 @@ fn dirty_scratch_matches_fresh_under_searched() {
         let mut scratch = SweepScratch::new();
         let graphs = Platform25D::task_graphs(&wl);
         let outcome = p.churn_outcome_from_graphs(&graphs);
-        p.resolve_searched_scratch(&wl, &graphs, &outcome, &mut scratch)
+        p.resolve_searched(&wl, &graphs, &outcome, &mut scratch)
     };
 
     let mut scratch = SweepScratch::new();
     let wl3 = table2_workload("WL3").unwrap();
-    p.run_workload_dataflows_scratch(&wl3, &[Dataflow::WeightStationary], &mut scratch);
+    p.run_workload_dataflows(&wl3, &[Dataflow::WeightStationary], &mut scratch);
     let graphs = Platform25D::task_graphs(&wl);
     let outcome = p.churn_outcome_from_graphs(&graphs);
-    let (dirty_res, dirty_rep) = p.resolve_searched_scratch(&wl, &graphs, &outcome, &mut scratch);
+    let (dirty_res, dirty_rep) = p.resolve_searched(&wl, &graphs, &outcome, &mut scratch);
 
     assert_eq!(
         dirty_res.fingerprint, fresh_res.fingerprint,
@@ -86,7 +86,6 @@ fn dirty_scratch_matches_fresh_under_searched() {
     assert_eq!(dirty_rep, fresh_rep);
 
     // Costing a resolution through dirty scratch is also history-free.
-    let again =
-        p.cost_searched_resolution_scratch(&wl, &graphs, &outcome, &fresh_res, &mut scratch);
+    let again = p.cost_searched_resolution(&wl, &graphs, &outcome, &fresh_res, &mut scratch);
     assert_eq!(again, fresh_rep);
 }

@@ -32,7 +32,7 @@ fn reference_resolve(
     let mut best: Option<(usize, SearchedResolution, WorkloadReport, f64)> = None;
     for (i, maps) in candidates.into_iter().enumerate() {
         let res = SearchedResolution::new(maps);
-        let rep = p.cost_searched_resolution(wl, graphs, outcome, &res);
+        let rep = p.cost_searched_resolution(wl, graphs, outcome, &res, &mut SweepScratch::new());
         let edp = p.report_edp(&rep);
         if best.as_ref().is_none_or(|(.., b)| edp < *b) {
             best = Some((i, res, rep, edp));
@@ -56,19 +56,19 @@ fn assert_matches_reference(arch: NoiArch, wl_name: &str, winner: usize) {
     let cell = format!("{wl_name} x {}", p.arch_name());
     assert_eq!(win, winner, "{cell}: winning candidate");
 
-    let (res, rep) = p.resolve_searched(&wl, &graphs, &outcome);
+    let (res, rep) = p.resolve_searched(&wl, &graphs, &outcome, &mut SweepScratch::new());
     assert_eq!(res.fingerprint, ref_res.fingerprint, "{cell}: resolution");
     assert_eq!(rep, ref_rep, "{cell}: report");
 
     // Dirty scratch: another workload's searched cell and a hand mode.
     let mut scratch = SweepScratch::new();
     let other = table2_workload(if wl_name == "WL1" { "WL2" } else { "WL1" }).unwrap();
-    p.run_workload_dataflows_scratch(
+    p.run_workload_dataflows(
         &other,
         &[Dataflow::Searched, Dataflow::FusedLayer],
         &mut scratch,
     );
-    let (dirty_res, dirty_rep) = p.resolve_searched_scratch(&wl, &graphs, &outcome, &mut scratch);
+    let (dirty_res, dirty_rep) = p.resolve_searched(&wl, &graphs, &outcome, &mut scratch);
     assert_eq!(dirty_res.fingerprint, ref_res.fingerprint, "{cell}: dirty");
     assert_eq!(dirty_rep, ref_rep, "{cell}: dirty report");
 }

@@ -8,18 +8,18 @@
 //! temperature. The steady state solves
 //! `sum_j g_ij (T_j - T_i) + P_i = 0`.
 //!
-//! Two solvers are provided. The production path ([`solve`], explicitly
-//! [`solve_red_black`]) is **red-black successive over-relaxation**: the
-//! grid is two-colored by coordinate parity (every stencil neighbor has
-//! the opposite color), the iteration-invariant conductance sums and
-//! neighbor lists are precomputed once into flat arrays, and each color
-//! is swept reading only the opposite color — so the sweep is
-//! deterministic for *any* worker count and converges in far fewer
-//! iterations than plain Gauss-Seidel thanks to over-relaxation. The
-//! original sequential Gauss-Seidel is kept verbatim as a reference
-//! oracle ([`solve_reference`]) for tests, criterion benches and the
-//! `pim-bench perf` baseline; `PIM_THERMAL_SOLVER=reference` (or
-//! [`set_default_solver`]) re-routes [`solve`] onto it.
+//! [`solve`] (explicitly [`solve_red_black`]) is **red-black successive
+//! over-relaxation**: the grid is two-colored by coordinate parity
+//! (every stencil neighbor has the opposite color), the
+//! iteration-invariant conductance sums and neighbor lists are
+//! precomputed once into flat arrays, and each color is swept reading
+//! only the opposite color — so the sweep is deterministic for *any*
+//! worker count and converges in far fewer iterations than plain
+//! Gauss-Seidel thanks to over-relaxation. The original sequential
+//! Gauss-Seidel is kept verbatim as a reference oracle
+//! ([`solve_reference`]) for tests, the criterion benches and the
+//! solver micro-benchmark of `pim-bench perf`; nothing in the pipeline
+//! calls it.
 //!
 //! Both solvers report [`ThermalMap::iterations`], the final
 //! [`ThermalMap::residual_k`] and a [`ThermalMap::converged`] flag;
@@ -49,7 +49,6 @@
 #![warn(missing_debug_implementations)]
 
 use std::fmt;
-use std::sync::atomic::{AtomicU8, Ordering};
 
 use serde::{Deserialize, Serialize};
 
@@ -290,53 +289,6 @@ impl ThermalMap {
     }
 }
 
-/// Which steady-state solver [`solve`] dispatches to.
-#[derive(Copy, Clone, Debug, PartialEq, Eq)]
-pub enum Solver {
-    /// Red-black successive over-relaxation on a precomputed stencil —
-    /// the production path.
-    RedBlackSor,
-    /// The original lexicographic Gauss-Seidel sweep, kept verbatim as a
-    /// reference oracle (slow: no over-relaxation, conductances
-    /// recomputed in every cell visit).
-    GaussSeidelReference,
-}
-
-/// Process-wide default solver: 0 = red-black SOR, 1 = reference
-/// Gauss-Seidel, 2 = not yet resolved from the environment.
-static DEFAULT_SOLVER: AtomicU8 = AtomicU8::new(2);
-
-/// The solver [`solve`] currently dispatches to. Resolved once from
-/// `PIM_THERMAL_SOLVER` (`redblack` default, `reference` for the seed
-/// path) unless [`set_default_solver`] overrode it.
-pub fn default_solver() -> Solver {
-    match DEFAULT_SOLVER.load(Ordering::Relaxed) {
-        0 => Solver::RedBlackSor,
-        1 => Solver::GaussSeidelReference,
-        _ => {
-            let s = match topology::envknobs::var("PIM_THERMAL_SOLVER").as_deref() {
-                Some("reference") => Solver::GaussSeidelReference,
-                _ => Solver::RedBlackSor,
-            };
-            set_default_solver(s);
-            s
-        }
-    }
-}
-
-/// Overrides the process-wide default solver (the `pim-bench perf`
-/// baseline switch). Both solvers converge to the same fixed point
-/// within [`ThermalConfig::tolerance_k`].
-pub fn set_default_solver(s: Solver) {
-    DEFAULT_SOLVER.store(
-        match s {
-            Solver::RedBlackSor => 0,
-            Solver::GaussSeidelReference => 1,
-        },
-        Ordering::Relaxed,
-    );
-}
-
 /// Over-relaxation factor for the red-black sweep. The resistive grids
 /// this crate solves are small (hundreds of cells) and strongly
 /// anisotropic (vertical conduction dominates, the sink coupling is
@@ -495,14 +447,10 @@ impl Stencil {
     }
 }
 
-/// Solves the steady-state temperature field with the process-default
-/// solver (red-black SOR unless `PIM_THERMAL_SOLVER=reference` or
-/// [`set_default_solver`] chose the Gauss-Seidel oracle).
+/// Solves the steady-state temperature field by red-black SOR
+/// ([`solve_red_black`]), on one thread for the paper's grids.
 pub fn solve(power: &PowerMap, cfg: &ThermalConfig) -> ThermalMap {
-    match default_solver() {
-        Solver::RedBlackSor => solve_red_black(power, cfg, auto_threads(power)),
-        Solver::GaussSeidelReference => solve_reference(power, cfg),
-    }
+    solve_red_black(power, cfg, auto_threads(power))
 }
 
 /// [`solve`] that fails loudly instead of silently returning the last
@@ -568,8 +516,8 @@ pub fn solve_red_black(power: &PowerMap, cfg: &ThermalConfig, threads: usize) ->
 /// The seed's sequential Gauss-Seidel solver, kept verbatim as the
 /// reference oracle: lexicographic sweeps, stencil conductances
 /// recomputed in every cell visit, no over-relaxation. Tests assert the
-/// red-black path against it; `bench_thermal` and `pim-bench perf`
-/// measure the speedup over it.
+/// red-black path against it; `bench_thermal` and the `pim-bench perf`
+/// solver micro-benchmark measure the speedup over it.
 pub fn solve_reference(power: &PowerMap, cfg: &ThermalConfig) -> ThermalMap {
     let (w, h, tiers) = power.dims();
     let (wi, hi, ti) = (w as usize, h as usize, tiers as usize);
@@ -846,9 +794,7 @@ mod tests {
         assert!(map.residual_k < cfg.tolerance_k);
         assert!(map.iterations < cfg.max_iters);
         let checked = solve_checked(&power, &cfg).expect("converges");
-        // Another test may legitimately flip the process-default solver
-        // between the two calls; both solvers agree within tolerance.
-        assert!((checked.peak_k() - map.peak_k()).abs() < 5e-4);
+        assert_eq!(checked, map);
     }
 
     #[test]
@@ -869,18 +815,6 @@ mod tests {
             solve_checked(&power, &cfg),
             Err(ThermalError::NotConverged { iterations: 3 })
         );
-    }
-
-    #[test]
-    fn solver_selector_round_trips() {
-        // Exercise the dispatch surface without disturbing other tests:
-        // restore the default afterwards.
-        let before = default_solver();
-        set_default_solver(Solver::GaussSeidelReference);
-        assert_eq!(default_solver(), Solver::GaussSeidelReference);
-        set_default_solver(Solver::RedBlackSor);
-        assert_eq!(default_solver(), Solver::RedBlackSor);
-        set_default_solver(before);
     }
 
     #[test]

@@ -18,7 +18,6 @@
 pub const ALLOWED: &[&str] = &[
     "PIM_BENCH_CACHE_STATS",
     "PIM_BENCH_NO_CACHE",
-    "PIM_THERMAL_SOLVER",
     "UPDATE_GOLDEN",
 ];
 
@@ -56,10 +55,10 @@ mod tests {
 
     #[test]
     fn unset_knobs_read_as_absent_and_false() {
-        // The test environment never sets the thermal knob.
-        if !is_set("PIM_THERMAL_SOLVER") {
-            assert_eq!(var("PIM_THERMAL_SOLVER"), None);
-            assert!(!flag("PIM_THERMAL_SOLVER"));
+        // Only meaningful when the caller left the knob unset.
+        if !is_set("PIM_BENCH_CACHE_STATS") {
+            assert_eq!(var("PIM_BENCH_CACHE_STATS"), None);
+            assert!(!flag("PIM_BENCH_CACHE_STATS"));
         }
     }
 

@@ -1,8 +1,13 @@
 //! End-to-end assertions of the paper's headline claims, one test per
-//! figure/table. These run the same pipelines as the `pim-bench`
-//! binaries, scaled down where optimization budgets allow.
+//! figure/table. These run the same pipelines as `pim-bench run`,
+//! scaled down where optimization budgets allow.
 
-use dataflow_pim::{experiments, NoiArch, Platform25D, SystemConfig};
+use dataflow_pim::{experiments, NoiArch, Platform25D, SweepRunner, SystemConfig};
+
+/// The paper's four 2.5D platforms, built once per test.
+fn runner() -> SweepRunner {
+    SweepRunner::new(&SystemConfig::datacenter_25d()).unwrap()
+}
 
 #[test]
 fn table1_cifar_rows_match_within_six_percent() {
@@ -38,8 +43,7 @@ fn table2_mixes_oversubscribe_the_system() {
 
 #[test]
 fn fig2a_port_profiles_match_paper() {
-    let cfg = SystemConfig::datacenter_25d();
-    let rows = experiments::fig2_summaries(&cfg);
+    let rows = runner().fig2_summaries();
     let find = |name: &str| rows.iter().find(|r| r.name.contains(name)).unwrap();
 
     // Kite: four-port routers are the most frequent (here: all).
@@ -68,8 +72,7 @@ fn fig2a_port_profiles_match_paper() {
 
 #[test]
 fn fig2b_floret_has_fewest_links() {
-    let cfg = SystemConfig::datacenter_25d();
-    let rows = experiments::fig2_summaries(&cfg);
+    let rows = runner().fig2_summaries();
     let links = |name: &str| rows.iter().find(|r| r.name.contains(name)).unwrap().links;
     assert!(links("floret") < links("swap"));
     assert!(links("swap") < links("mesh"));
@@ -78,11 +81,8 @@ fn fig2b_floret_has_fewest_links() {
 
 #[test]
 fn fig3_fig5_floret_wins_on_wl1() {
-    let cfg = SystemConfig::datacenter_25d();
-    let rows: Vec<_> = NoiArch::all()
-        .into_iter()
-        .map(|arch| experiments::run_arch_workload(&cfg, arch, "WL1"))
-        .collect();
+    let wl = dataflow_pim::dnn::table2_workload("WL1").unwrap();
+    let rows = runner().run_workloads(&[wl]);
     let floret = rows.iter().find(|r| r.arch == "Floret").unwrap();
     for r in &rows {
         assert_eq!(r.failed_tasks, 0, "{}", r.arch);
@@ -128,8 +128,7 @@ fn fig4_swap_underutilizes_under_contiguity_admission() {
 
 #[test]
 fn cost_ratios_follow_the_paper_ordering() {
-    let cfg = SystemConfig::datacenter_25d();
-    let rows = experiments::cost_rows(&cfg);
+    let rows = experiments::cost_rows(&runner());
     let ratio = |name: &str| {
         rows.iter()
             .find(|r| r.arch == name)
