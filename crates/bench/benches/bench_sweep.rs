@@ -39,8 +39,9 @@ fn sweep(c: &mut Criterion) {
 
     let mut g = c.benchmark_group("fig345-wl1-row");
     g.bench_function("seed-sequential-rebuild", |b| {
-        // The seed's fig345_sweep body: a fresh Platform25D (topology +
-        // route table) for every grid cell, strictly sequential.
+        // The seed's sweep body, before `SweepRunner::run_workloads`: a
+        // fresh Platform25D (topology + route table) for every grid cell,
+        // strictly sequential.
         b.iter(|| {
             NoiArch::all()
                 .into_iter()

@@ -1,12 +1,13 @@
 //! Criterion benches for the 3D thermal solver (the Fig. 6/7 inner
-//! loop): the production red-black SOR path against the seed's
-//! sequential Gauss-Seidel reference, so the solver speedup is a
-//! measured number, not an assertion.
+//! loop): the production exact solve, with its factor built once as a
+//! `Platform3D` does, against the seed's sequential Gauss-Seidel
+//! reference, so the solver speedup is a measured number, not an
+//! assertion.
 
 use criterion::{criterion_group, criterion_main, Criterion};
 use std::hint::black_box;
 use std::time::Duration;
-use thermal::{solve, solve_red_black, solve_reference, PowerMap, ThermalConfig};
+use thermal::{solve, solve_reference, PowerMap, ThermalConfig, ThermalSolver};
 
 fn gradient_power() -> PowerMap {
     let mut power = PowerMap::new(5, 5, 4).unwrap();
@@ -38,15 +39,20 @@ fn solver(c: &mut Criterion) {
     });
 }
 
-/// Red-black SOR vs the seed Gauss-Seidel on identical inputs, for both
-/// stack configurations — the `pim-bench perf` solver comparison as a
+/// The exact solve (factor once, then solve; and the factor alone) vs
+/// the seed Gauss-Seidel on identical inputs, for both stack
+/// configurations — the `pim-bench perf` solver comparison as a
 /// criterion measurement.
 fn solver_comparison(c: &mut Criterion) {
     let power = gradient_power();
     for (stack, cfg) in [("m3d", ThermalConfig::m3d()), ("tsv", ThermalConfig::tsv())] {
         let mut g = c.benchmark_group(format!("thermal-5x5x4-{stack}"));
-        g.bench_function("red-black-sor", |b| {
-            b.iter(|| solve_red_black(black_box(&power), &cfg, 1))
+        g.bench_function("factor", |b| {
+            b.iter(|| ThermalSolver::new(5, 5, 4, black_box(&cfg)).unwrap())
+        });
+        let solver = ThermalSolver::new(5, 5, 4, &cfg).unwrap();
+        g.bench_function("exact-solve", |b| {
+            b.iter(|| solver.solve(black_box(&power)))
         });
         g.bench_function("seed-gauss-seidel", |b| {
             b.iter(|| solve_reference(black_box(&power), &cfg))

@@ -28,6 +28,7 @@
 //! BENCH file and fails on a >25% speedup regression (see
 //! [`PerfReport::gate_against`]).
 
+use std::hint::black_box;
 use std::time::Instant;
 
 use pim_core::{
@@ -35,7 +36,7 @@ use pim_core::{
     ResilienceParams, RunContext, Scenario, ScenarioError, ServingSpec,
 };
 use serde::Serialize;
-use thermal::{solve_red_black, solve_reference, PowerMap, ThermalConfig};
+use thermal::{solve_reference, PowerMap, ThermalConfig, ThermalSolver};
 use topology::{mesh2d, HwParams, NodeId};
 
 /// Wall-clock timing of one registered experiment in one pass.
@@ -66,19 +67,25 @@ pub struct RunAllComparison {
     pub speedup: f64,
 }
 
-/// Thermal-solver micro-benchmark on the paper's 5×5×4 grid.
+/// Thermal-solver micro-benchmark on the paper's 5×5×4 grid: the exact
+/// solve against the Gauss-Seidel reference.
 #[derive(Clone, Debug, Serialize)]
 pub struct SolverMicro {
     /// Grid dimensions.
     pub grid: (u16, u16, u16),
-    /// Red-black SOR solve time, milliseconds (mean over repetitions).
-    pub red_black_ms: f64,
+    /// Building and factoring a [`ThermalSolver`], milliseconds (mean
+    /// over repetitions); a `Platform3D` pays it once.
+    pub factor_ms: f64,
+    /// One exact solve with that factor (two banded substitutions and
+    /// the residual check), milliseconds.
+    pub exact_ms: f64,
     /// Reference Gauss-Seidel solve time, milliseconds.
     pub reference_ms: f64,
-    /// `reference_ms / red_black_ms`.
+    /// `reference_ms / exact_ms`.
     pub speedup: f64,
-    /// Sweeps the red-black solver needed to converge.
-    pub red_black_iterations: u32,
+    /// Half-bandwidth of the exact solver's factor: each solve does
+    /// about `4 × cells × half_bandwidth` flops.
+    pub exact_half_bandwidth: usize,
     /// Sweeps the reference solver needed.
     pub reference_iterations: u32,
 }
@@ -292,26 +299,34 @@ fn solver_micro() -> SolverMicro {
         }
     }
     let cfg = ThermalConfig::m3d();
-    const REPS: u32 = 20;
-    let t = Instant::now();
-    let mut rb_iters = 0;
-    for _ in 0..REPS {
-        rb_iters = solve_red_black(&power, &cfg, 1).iterations;
-    }
-    let red_black_ms = ms(t) / f64::from(REPS);
-    let t = Instant::now();
-    let mut gs_iters = 0;
-    for _ in 0..REPS {
-        gs_iters = solve_reference(&power, &cfg).iterations;
-    }
-    let reference_ms = ms(t) / f64::from(REPS);
+    let (w, h, tiers) = power.dims();
+    let mean_ms = |reps: u32, f: &mut dyn FnMut()| {
+        let t = Instant::now();
+        for _ in 0..reps {
+            f();
+        }
+        ms(t) / f64::from(reps)
+    };
+    let build = || ThermalSolver::new(w, h, tiers, &cfg).expect("physical config");
+    let factor_ms = mean_ms(200, &mut || {
+        black_box(build());
+    });
+    let solver = build();
+    let exact_ms = mean_ms(2_000, &mut || {
+        black_box(solver.solve(&power));
+    });
+    let mut reference_iterations = 0;
+    let reference_ms = mean_ms(20, &mut || {
+        reference_iterations = solve_reference(&power, &cfg).iterations;
+    });
     SolverMicro {
         grid: power.dims(),
-        red_black_ms,
+        factor_ms,
+        exact_ms,
         reference_ms,
-        speedup: reference_ms / red_black_ms.max(f64::MIN_POSITIVE),
-        red_black_iterations: rb_iters,
-        reference_iterations: gs_iters,
+        speedup: reference_ms / exact_ms.max(f64::MIN_POSITIVE),
+        exact_half_bandwidth: solver.half_bandwidth(),
+        reference_iterations,
     }
 }
 
@@ -525,9 +540,10 @@ impl PerfReport {
             self.cache.stats.misses,
         ));
         out.push_str(&format!(
-            "thermal solve 5x5x4: {:.3} ms ({} sweeps) vs {:.3} ms ({} sweeps) = {:.1}x\n",
-            self.solver.red_black_ms,
-            self.solver.red_black_iterations,
+            "thermal solve 5x5x4: {:.4} ms exact (factor {:.3} ms, half-bandwidth {}) vs {:.3} ms ({} sweeps) = {:.0}x\n",
+            self.solver.exact_ms,
+            self.solver.factor_ms,
+            self.solver.exact_half_bandwidth,
             self.solver.reference_ms,
             self.solver.reference_iterations,
             self.solver.speedup,
@@ -674,11 +690,9 @@ mod tests {
     #[test]
     fn micro_benches_report_sane_counters() {
         let solver = solver_micro();
-        assert!(solver.red_black_iterations > 0);
-        assert!(
-            solver.reference_iterations > solver.red_black_iterations,
-            "SOR must need fewer sweeps"
-        );
+        assert_eq!(solver.exact_half_bandwidth, 20);
+        assert!(solver.reference_iterations > 1);
+        assert!(solver.exact_ms > 0.0 && solver.factor_ms > 0.0);
         let des = des_micro();
         assert_eq!(des.flows, 24);
         assert!(des.packets > 0 && des.heap_events > 0);
@@ -752,10 +766,11 @@ mod tests {
             },
             solver: SolverMicro {
                 grid: (5, 5, 4),
-                red_black_ms: 1.0,
+                factor_ms: 1.0,
+                exact_ms: 1.0,
                 reference_ms: 1.0,
                 speedup: 1.0,
-                red_black_iterations: 1,
+                exact_half_bandwidth: 20,
                 reference_iterations: 2,
             },
             des: DesMicro {

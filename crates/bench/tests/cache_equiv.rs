@@ -1,5 +1,5 @@
 //! End-to-end equivalence contracts of the evaluation cache and the
-//! red-black thermal solver at the CLI boundary:
+//! exact thermal solve at the CLI boundary:
 //!
 //! * `run all --format json` is byte-identical with the cache enabled
 //!   and bypassed (`PIM_BENCH_NO_CACHE=1`) — caching is a pure replay;
@@ -124,7 +124,7 @@ fn run_all_json_is_identical_with_and_without_the_cache() {
 #[test]
 fn cached_pipeline_is_thread_count_independent() {
     // fig3+fig5 exercise the cache (fig5 replays fig3's cells), fig6 and
-    // ablation_thermal exercise the red-black solver; the whole bundle
+    // ablation_thermal exercise the exact thermal solve; the whole bundle
     // must not change a byte across worker counts.
     let args = |threads: &'static str| {
         vec![

@@ -5,7 +5,8 @@
 //! consumer would reject. Degenerate and oversized `--set` overrides
 //! must exit 1 promptly with a typed config error, and so must products
 //! of fields over their budget, non-physical thermal or power values,
-//! and valid configs too small for a 3D experiment's model.
+//! and valid configs too small for a 3D experiment's model. A `tiers`
+//! override shapes the 3D stack only and leaves 2.5D tables unchanged.
 
 use std::process::{Command, Stdio};
 use std::time::{Duration, Instant};
@@ -53,6 +54,15 @@ fn run_table1_json_round_trips_through_the_vendored_parser() {
         panic!("`tables` must be an array");
     };
     assert_eq!(tables.len(), 1);
+}
+
+#[test]
+fn tiers_override_leaves_2_5d_tables_unchanged() {
+    // 2.5D systems are single-tier: `--set tiers` reaches the 3D config
+    // only, so fig4's utilization must not move.
+    let base = ["run", "fig4", "--workload", "WL1", "--arch", "Floret"];
+    let plain = run_cli(&base);
+    assert_eq!(run_cli(&[&base[..], &["--set", "tiers=4"]].concat()), plain);
 }
 
 #[test]

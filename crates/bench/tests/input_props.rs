@@ -47,8 +47,9 @@ const COMMON_VALUES: [&str; 12] = [
 
 /// Each key's documented bound and bound + 1 (`SystemConfig::validate`
 /// and `FaultSpec::validate`). `tiers` has no bound of its own: the node
-/// budget `width * height * tiers <= 4096` caps it at 40 on the 10 x 10
-/// 2.5D base and 163 on the 5 x 5 3D stack.
+/// budget `width * height * tiers <= 4096` caps it at 163 on the 5 x 5
+/// 3D stack, the only config it reaches (40 would be the cap on the
+/// single-tier 10 x 10 2.5D base).
 fn bounds(key: &str) -> &'static [&'static str] {
     match key {
         "width" | "height" => &["32", "33"],

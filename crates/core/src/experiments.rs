@@ -178,7 +178,8 @@ pub fn joint_sa_config() -> SaConfig {
 ///
 /// # Errors
 ///
-/// [`ScenarioError::Topology`] when `cfg` builds no 3D NoC and
+/// [`ScenarioError::Topology`] when `cfg` builds no 3D NoC,
+/// [`ScenarioError::Thermal`] when its thermal grid cannot be factored and
 /// [`ScenarioError::Placement`] when a model does not fit the stack
 /// (the first such model in [`fig6_models`] order).
 pub fn fig6_rows(
@@ -226,7 +227,8 @@ pub struct Fig7Maps {
 ///
 /// # Errors
 ///
-/// [`ScenarioError::Topology`] when `cfg` builds no 3D NoC and
+/// [`ScenarioError::Topology`] when `cfg` builds no 3D NoC,
+/// [`ScenarioError::Thermal`] when its thermal grid cannot be factored and
 /// [`ScenarioError::Placement`] when ResNet-34 does not fit the stack.
 pub fn fig7_maps(cfg: &SystemConfig, sa: &SaConfig) -> Result<Fig7Maps, ScenarioError> {
     let platform = Platform3D::new(cfg)?;

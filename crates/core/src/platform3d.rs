@@ -10,10 +10,11 @@ use pim::{segment_cost, ThermalNoiseModel};
 use rand::RngExt;
 use rand_chacha::ChaCha8Rng;
 use serde::{Deserialize, Serialize};
-use thermal::{solve, PowerMap, ThermalMap};
-use topology::{FloretLayout, NodeId, Topology, TopologyError};
+use thermal::{PowerMap, ThermalMap, ThermalSolver};
+use topology::{FloretLayout, NodeId, Topology};
 
 use crate::config::SystemConfig;
+use crate::scenario::ScenarioError;
 
 /// A 3D-stacked PIM system with an SFC NoC.
 #[derive(Debug)]
@@ -22,6 +23,9 @@ pub struct Platform3D {
     topo: Topology,
     layout: FloretLayout,
     route: RouteTable,
+    /// The stack's conductance matrix, factored once: every evaluation
+    /// solves its power map by two substitutions.
+    thermal: ThermalSolver,
     noise: ThermalNoiseModel,
 }
 
@@ -53,19 +57,24 @@ pub struct PlacementEval {
 }
 
 impl Platform3D {
-    /// Builds the 3D platform.
+    /// Builds the 3D platform: the SFC NoC, its route table and the
+    /// factored thermal grid.
     ///
     /// # Errors
     ///
-    /// Propagates [`TopologyError`] from the SFC NoC generator.
-    pub fn new(cfg: &SystemConfig) -> Result<Self, TopologyError> {
+    /// [`ScenarioError::Topology`] from the SFC NoC generator, and
+    /// [`ScenarioError::Thermal`] when `cfg.thermal` is non-physical or
+    /// cannot be factored (see [`ThermalSolver::new`]).
+    pub fn new(cfg: &SystemConfig) -> Result<Self, ScenarioError> {
         let (topo, layout) = topology::sfc3d(cfg.width, cfg.height, cfg.tiers)?;
+        let thermal = ThermalSolver::new(cfg.width, cfg.height, cfg.tiers, &cfg.thermal)?;
         let route = RouteTable::build(&topo, &cfg.hw);
         Ok(Platform3D {
             cfg: cfg.clone(),
             topo,
             layout,
             route,
+            thermal,
             noise: ThermalNoiseModel::default(),
         })
     }
@@ -161,9 +170,10 @@ impl Platform3D {
             .collect()
     }
 
-    /// Solves the thermal field for a placement.
+    /// Solves the thermal field for a placement with the platform's
+    /// factored grid.
     pub fn thermal_map(&self, sg: &SegmentGraph, placement: &TaskPlacement) -> ThermalMap {
-        solve(&self.power_map(sg, placement), &self.cfg.thermal)
+        self.thermal.solve(&self.power_map(sg, placement))
     }
 
     /// Full evaluation of a placement order: performance, energy, EDP,
@@ -461,5 +471,36 @@ mod tests {
             map.total_w() < static_total + 200.0,
             "power must be bounded"
         );
+    }
+
+    #[test]
+    fn non_physical_thermal_configs_are_typed_errors() {
+        use thermal::{ThermalConfig, ThermalError};
+        let cases = [
+            (
+                ThermalConfig {
+                    g_sink: 0.0,
+                    ..ThermalConfig::m3d()
+                },
+                "g_sink",
+            ),
+            (
+                ThermalConfig {
+                    g_lateral: f64::NAN,
+                    ..ThermalConfig::m3d()
+                },
+                "g_lateral",
+            ),
+        ];
+        for (thermal, field) in cases {
+            let cfg = SystemConfig {
+                thermal,
+                ..SystemConfig::stacked_3d()
+            };
+            assert_eq!(
+                Platform3D::new(&cfg).unwrap_err(),
+                ScenarioError::Thermal(ThermalError::NonPhysical(field))
+            );
+        }
     }
 }

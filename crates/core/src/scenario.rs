@@ -43,6 +43,7 @@ use std::fmt;
 use dnn::{Dataflow, Workload};
 use mapper::{MapError, StrategyKind};
 use serde::{Deserialize, Serialize};
+use thermal::ThermalError;
 use topology::TopologyError;
 
 use crate::arch::NoiArch;
@@ -58,7 +59,8 @@ use crate::sweep::{default_threads, CacheStats, SweepRunner};
 /// architectures, all five Table II mixes, all four dataflow modes).
 /// `overrides` are `(key, value)` pairs applied through the validating
 /// [`SystemConfig::builder`] to **both** base configs (2.5D and 3D), so
-/// a degenerate spec fails fast with a typed [`ConfigError`].
+/// a degenerate spec fails fast with a typed [`ConfigError`]; `tiers`
+/// alone reaches only the 3D config, since 2.5D systems are single-tier.
 #[derive(Clone, Debug, PartialEq, Serialize, Deserialize)]
 pub struct Scenario {
     /// Registry name of the experiment (`"table1"`, `"fig3"`, ... or
@@ -115,7 +117,8 @@ impl Scenario {
 
     /// Validates the spec and materializes every axis: defaults filled
     /// in, workload names checked against Table II, overrides applied
-    /// through the validating builder to both base configs.
+    /// through the validating builder to both base configs (`tiers` to
+    /// the 3D one only).
     ///
     /// # Errors
     ///
@@ -169,16 +172,19 @@ impl Scenario {
         } else {
             None
         };
-        let apply = |base: SystemConfig| -> Result<SystemConfig, ConfigError> {
-            base.builder().apply(cfg_overrides.iter().copied())?.build()
+        // 2.5D systems are single-tier: `tiers` shapes the 3D stack only.
+        let apply = |base: SystemConfig, stacked: bool| -> Result<SystemConfig, ConfigError> {
+            let overrides = cfg_overrides.iter().copied();
+            let overrides = overrides.filter(|&(k, _)| stacked || k != "tiers");
+            base.builder().apply(overrides)?.build()
         };
         Ok(ResolvedScenario {
             experiment: self.experiment.clone(),
             archs,
             workloads,
             dataflows,
-            cfg25: apply(SystemConfig::datacenter_25d())?,
-            cfg3d: apply(SystemConfig::stacked_3d())?,
+            cfg25: apply(SystemConfig::datacenter_25d(), false)?,
+            cfg3d: apply(SystemConfig::stacked_3d(), true)?,
             threads: self.threads.unwrap_or_else(default_threads).max(1),
             seed: self.seed,
             strategy: self.strategy,
@@ -258,6 +264,10 @@ pub enum ScenarioError {
     /// The experiment's model does not fit the configured system (a
     /// valid config too small for it, e.g. `--set tiers=1` under fig6).
     Placement(MapError),
+    /// The 3D stack's thermal config is non-physical (a conductance that
+    /// is not finite and positive, or a non-finite ambient) or too
+    /// ill-conditioned to factor.
+    Thermal(ThermalError),
 }
 
 impl fmt::Display for ScenarioError {
@@ -275,6 +285,7 @@ impl fmt::Display for ScenarioError {
             ScenarioError::Faults(e) => write!(f, "invalid fault spec: {e}"),
             ScenarioError::Strategy(msg) => write!(f, "invalid strategy: {msg}"),
             ScenarioError::Placement(e) => write!(f, "model does not fit the system: {e}"),
+            ScenarioError::Thermal(e) => write!(f, "invalid thermal model: {e}"),
         }
     }
 }
@@ -308,6 +319,12 @@ impl From<FaultError> for ScenarioError {
 impl From<MapError> for ScenarioError {
     fn from(e: MapError) -> Self {
         ScenarioError::Placement(e)
+    }
+}
+
+impl From<ThermalError> for ScenarioError {
+    fn from(e: ThermalError) -> Self {
+        ScenarioError::Thermal(e)
     }
 }
 
@@ -880,6 +897,16 @@ mod tests {
             s.resolve().unwrap_err(),
             ScenarioError::Config(ConfigError::ZeroField("snapshot_every"))
         );
+    }
+
+    #[test]
+    fn tiers_reach_only_the_stacked_config() {
+        let mut s = Scenario::new("fig4");
+        s.overrides.push(("tiers".into(), "4".into()));
+        let r = s.resolve().unwrap();
+        assert_eq!(r.cfg25.tiers, 1);
+        assert_eq!(r.cfg3d.tiers, 4);
+        assert_eq!(r.cfg25, SystemConfig::datacenter_25d());
     }
 
     #[test]

@@ -41,7 +41,7 @@ use std::sync::atomic::{AtomicU64, AtomicUsize, Ordering};
 use std::sync::{Arc, Mutex};
 use std::thread;
 
-use dnn::{table2, Dataflow, SegmentGraph, Workload};
+use dnn::{Dataflow, SegmentGraph, Workload};
 use mapper::ChurnOutcome;
 use netsim::Flow;
 use serde::Serialize;
@@ -335,10 +335,11 @@ impl EvalCache {
 /// # Examples
 ///
 /// ```no_run
+/// use dnn::table2;
 /// use pim_core::{SweepRunner, SystemConfig};
 ///
 /// let runner = SweepRunner::new(&SystemConfig::datacenter_25d())?;
-/// let reports = runner.fig345_sweep(); // 5 mixes x 4 archs, stable order
+/// let reports = runner.run_workloads(&table2()); // 5 mixes x 4 archs, stable order
 /// assert_eq!(reports.len(), 20);
 /// # Ok::<(), topology::TopologyError>(())
 /// ```
@@ -578,11 +579,6 @@ impl SweepRunner {
         })
     }
 
-    /// Fig. 3/4/5: the full Table II × architecture sweep.
-    pub fn fig345_sweep(&self) -> Vec<WorkloadReport> {
-        self.run_workloads(&table2())
-    }
-
     /// The (workload × dataflow × architecture) grid over the cached
     /// platforms: workload-major, then `dataflows` order, then
     /// [`NoiArch::all`] order — so each consecutive chunk of
@@ -620,12 +616,6 @@ impl SweepRunner {
             }
         }
         out
-    }
-
-    /// The dataflow figure: all Table II mixes × the four [`Dataflow`]
-    /// modes × the four architectures.
-    pub fn dataflow_sweep(&self) -> Vec<WorkloadReport> {
-        self.run_workloads_dataflows(&table2(), &Dataflow::all())
     }
 
     /// Fig. 2: structural summaries of the cached platforms.

@@ -8,24 +8,23 @@
 //! temperature. The steady state solves
 //! `sum_j g_ij (T_j - T_i) + P_i = 0`.
 //!
-//! [`solve`] (explicitly [`solve_red_black`]) is **red-black successive
-//! over-relaxation**: the grid is two-colored by coordinate parity
-//! (every stencil neighbor has the opposite color), the
-//! iteration-invariant conductance sums and neighbor lists are
-//! precomputed once into flat arrays, and each color is swept reading
-//! only the opposite color — so the sweep is deterministic for *any*
-//! worker count and converges in far fewer iterations than plain
-//! Gauss-Seidel thanks to over-relaxation. The original sequential
-//! Gauss-Seidel is kept verbatim as a reference oracle
-//! ([`solve_reference`]) for tests, the criterion benches and the
-//! solver micro-benchmark of `pim-bench perf`; nothing in the pipeline
-//! calls it.
+//! The conductances are the same for every power map, so the grid is
+//! one symmetric positive-definite system `A θ = P` in the temperature
+//! rise `θ = T − T_amb`, solved exactly. A [`ThermalSolver`] factors `A`
+//! once per grid and config (a banded Cholesky factor, unknowns ordered
+//! with the largest grid dimension outermost) and solves each power map
+//! by two banded substitutions; [`solve`] and [`solve_checked`] build
+//! one for a single map. The seed's sequential Gauss-Seidel is kept
+//! verbatim as a reference oracle ([`solve_reference`]) for tests, the
+//! criterion benches and the solver micro-benchmark of
+//! `pim-bench perf`; nothing in the pipeline calls it.
 //!
-//! Both solvers report [`ThermalMap::iterations`], the final
-//! [`ThermalMap::residual_k`] and a [`ThermalMap::converged`] flag;
-//! [`solve_checked`] turns a capped run into a typed
-//! [`ThermalError::NotConverged`] instead of silently returning the last
-//! sweep.
+//! Every solve reports [`ThermalMap::residual_k`] and a
+//! [`ThermalMap::converged`] flag. For the exact solve the residual is an
+//! explicit check: the largest update one Jacobi sweep would make to the
+//! solution. [`solve_checked`] turns a residual at or above
+//! [`ThermalConfig::tolerance_k`] into a typed
+//! [`ThermalError::NotConverged`] instead of silently returning the map.
 //!
 //! Tier convention: tier 0 is closest to the heat sink; the *bottom tier*
 //! of Fig. 7 (farthest from the sink, hottest) is tier `tiers - 1`.
@@ -52,8 +51,9 @@ use std::fmt;
 
 use serde::{Deserialize, Serialize};
 
-/// Error produced by power-map construction or a checked solve.
-#[derive(Clone, PartialEq, Eq, Debug)]
+/// Error produced by power-map construction, solver construction or a
+/// checked solve.
+#[derive(Clone, PartialEq, Debug)]
 #[non_exhaustive]
 pub enum ThermalError {
     /// Zero-sized grid.
@@ -65,11 +65,20 @@ pub enum ThermalError {
         /// Grid dimensions.
         dims: (u16, u16, u16),
     },
-    /// [`solve_checked`] hit the iteration cap before the residual fell
-    /// under the tolerance.
+    /// The named [`ThermalConfig`] field is outside the range in which
+    /// the conductance matrix is symmetric positive definite: a
+    /// conductance that is not finite and positive, or a non-finite
+    /// ambient.
+    NonPhysical(&'static str),
+    /// The conductances are valid but so far apart (e.g. a `1e-300`
+    /// next to a `0.05`) that rounding left a pivot of the factor that
+    /// is not positive and finite.
+    IllConditioned,
+    /// [`solve_checked`]'s residual check found the solution's largest
+    /// one-sweep Jacobi update at or above [`ThermalConfig::tolerance_k`].
     NotConverged {
-        /// Iterations performed (== `max_iters`).
-        iterations: u32,
+        /// That update, K.
+        residual_k: f64,
     },
 }
 
@@ -80,10 +89,21 @@ impl fmt::Display for ThermalError {
             ThermalError::OutOfBounds { coord, dims } => {
                 write!(f, "cell {coord:?} outside grid of {dims:?}")
             }
-            ThermalError::NotConverged { iterations } => {
+            ThermalError::NonPhysical(field) => {
+                let expected = if *field == "ambient_k" {
+                    "finite"
+                } else {
+                    "finite and > 0"
+                };
+                write!(f, "thermal `{field}` must be {expected}")
+            }
+            ThermalError::IllConditioned => {
+                write!(f, "thermal conductances too far apart to factor in f64")
+            }
+            ThermalError::NotConverged { residual_k } => {
                 write!(
                     f,
-                    "thermal solve hit the {iterations}-iteration cap before converging"
+                    "thermal solve residual {residual_k:e} K is not under the tolerance"
                 )
             }
         }
@@ -104,9 +124,12 @@ pub struct ThermalConfig {
     pub g_sink: f64,
     /// Ambient / sink temperature, K.
     pub ambient_k: f64,
-    /// Gauss-Seidel iteration cap.
+    /// Sweep cap of the Gauss-Seidel reference [`solve_reference`]; the
+    /// exact solve does not iterate.
     pub max_iters: u32,
-    /// Convergence threshold on the max temperature update, K.
+    /// Residual bound, K: a solve is [`ThermalMap::converged`] when its
+    /// largest one-cell update (the last Gauss-Seidel sweep's, or one
+    /// Jacobi sweep's after the exact solve) is under it.
     pub tolerance_k: f64,
 }
 
@@ -129,6 +152,24 @@ impl ThermalConfig {
         ThermalConfig {
             g_vertical: 0.6,
             ..ThermalConfig::m3d()
+        }
+    }
+
+    /// Checks the fields that make the grid's conductance matrix
+    /// symmetric positive definite: the first of `g_lateral`,
+    /// `g_vertical` and `g_sink` that is not finite and positive, else a
+    /// non-finite `ambient_k`, is a [`ThermalError::NonPhysical`].
+    fn validate(&self) -> Result<(), ThermalError> {
+        let positive = |g: f64| g.is_finite() && g > 0.0;
+        let checks = [
+            ("g_lateral", positive(self.g_lateral)),
+            ("g_vertical", positive(self.g_vertical)),
+            ("g_sink", positive(self.g_sink)),
+            ("ambient_k", self.ambient_k.is_finite()),
+        ];
+        match checks.iter().find(|(_, ok)| !ok) {
+            Some(&(field, _)) => Err(ThermalError::NonPhysical(field)),
+            None => Ok(()),
         }
     }
 }
@@ -225,13 +266,16 @@ pub struct ThermalMap {
     h: u16,
     tiers: u16,
     temps: Vec<f64>,
-    /// Solver iterations used (full grid sweeps).
+    /// Gauss-Seidel sweeps used by [`solve_reference`]; 0 for the exact
+    /// solve, which does not iterate.
     pub iterations: u32,
-    /// Final residual: the largest temperature update of the last sweep,
-    /// K. Converged runs end below [`ThermalConfig::tolerance_k`].
+    /// Residual, K: the largest temperature update of the last
+    /// Gauss-Seidel sweep, or, after the exact solve, the largest update
+    /// one Jacobi sweep would make to its solution.
     pub residual_k: f64,
-    /// Whether the residual fell under the tolerance before the
-    /// [`ThermalConfig::max_iters`] cap.
+    /// Whether [`Self::residual_k`] is under
+    /// [`ThermalConfig::tolerance_k`] (for [`solve_reference`]: before
+    /// the [`ThermalConfig::max_iters`] cap).
     pub converged: bool,
 }
 
@@ -289,234 +333,207 @@ impl ThermalMap {
     }
 }
 
-/// Over-relaxation factor for the red-black sweep. The resistive grids
-/// this crate solves are small (hundreds of cells) and strongly
-/// anisotropic (vertical conduction dominates, the sink coupling is
-/// weak), which makes plain Gauss-Seidel crawl; a fixed aggressive
-/// factor inside the guaranteed-convergent `(0, 2)` band for symmetric
-/// positive-definite systems cuts iteration counts by an order of
-/// magnitude across the paper's M3D/TSV configurations (empirically
-/// tuned: 1.85 balances the two stacks best).
-const SOR_OMEGA: f64 = 1.85;
-
-/// Cells below this count are swept on the calling thread; per-sweep
-/// worker spawning only pays off on grids far larger than the paper's.
-const PAR_THRESHOLD: usize = 16_384;
-
-/// The iteration-invariant part of the stencil, precomputed once per
-/// solve into flat arrays: per-cell conductance sums, the constant
-/// right-hand side (injected power plus the tier-0 sink term), a CSR
-/// neighbor list, and the two parity color classes.
-struct Stencil {
-    inv_g_sum: Vec<f64>,
-    rhs: Vec<f64>,
-    nbr_start: Vec<u32>,
-    nbr: Vec<(u32, f64)>,
-    colors: [Vec<u32>; 2],
+/// The exact steady-state solver for one grid and [`ThermalConfig`]:
+/// [`Self::new`] factors the grid's conductance matrix once, `A = L Lᵀ`
+/// (banded Cholesky), and [`Self::solve`] costs two banded substitutions
+/// per power map. Unknowns are ordered with the largest grid dimension
+/// outermost, so the half-bandwidth is `n / max(w, h, tiers)`.
+#[derive(Clone, Debug)]
+pub struct ThermalSolver {
+    cfg: ThermalConfig,
+    dims: [usize; 3],
+    /// Step of x, y and z in the solve order.
+    stride: [usize; 3],
+    bw: usize,
+    /// `L[i][j]` (`i - bw <= j <= i`) at `(i + 1) * bw + j`.
+    l: Vec<f64>,
 }
 
-impl Stencil {
-    fn build(power: &PowerMap, cfg: &ThermalConfig) -> Stencil {
-        let (w, h, tiers) = power.dims();
-        let (wi, hi, ti) = (w as usize, h as usize, tiers as usize);
-        let n = wi * hi * ti;
-        let idx = |x: usize, y: usize, z: usize| (z * hi + y) * wi + x;
+/// Strides of x, y and z with the largest dimension outermost, and the
+/// half-bandwidth that order gives.
+fn solve_order(dims: [usize; 3]) -> ([usize; 3], usize) {
+    let mut axes = [0, 1, 2];
+    axes.sort_by_key(|&a| dims[a]);
+    let (mut stride, mut step) = ([0; 3], 1);
+    for a in axes {
+        stride[a] = step;
+        step *= dims[a];
+    }
+    (stride, stride[axes[2]])
+}
 
-        let mut inv_g_sum = Vec::with_capacity(n);
-        let mut rhs = Vec::with_capacity(n);
-        let mut nbr_start = Vec::with_capacity(n + 1);
-        let mut nbr: Vec<(u32, f64)> = Vec::with_capacity(6 * n);
-        let mut colors = [Vec::new(), Vec::new()];
-        nbr_start.push(0);
-        for z in 0..ti {
-            for y in 0..hi {
-                for x in 0..wi {
-                    let i = idx(x, y, z);
-                    let mut g_sum = 0.0;
-                    let mut push = |j: usize, g: f64| {
-                        nbr.push((topology::narrow::u32_idx(j), g));
-                        g_sum += g;
-                    };
-                    if x > 0 {
-                        push(idx(x - 1, y, z), cfg.g_lateral);
-                    }
-                    if x + 1 < wi {
-                        push(idx(x + 1, y, z), cfg.g_lateral);
-                    }
-                    if y > 0 {
-                        push(idx(x, y - 1, z), cfg.g_lateral);
-                    }
-                    if y + 1 < hi {
-                        push(idx(x, y + 1, z), cfg.g_lateral);
-                    }
-                    if z > 0 {
-                        push(idx(x, y, z - 1), cfg.g_vertical);
-                    }
-                    if z + 1 < ti {
-                        push(idx(x, y, z + 1), cfg.g_vertical);
-                    }
-                    let mut r = power.power[i];
-                    if z == 0 {
-                        g_sum += cfg.g_sink;
-                        r += cfg.g_sink * cfg.ambient_k;
-                    }
-                    inv_g_sum.push(1.0 / g_sum);
-                    rhs.push(r);
-                    nbr_start.push(topology::narrow::u32_idx(nbr.len()));
-                    colors[(x + y + z) & 1].push(topology::narrow::u32_idx(i));
+impl ThermalSolver {
+    /// Assembles and factors the conductance matrix of a `w × h × tiers`
+    /// grid: a band of 100 × 21 floats on the paper's 5×5×4 stack.
+    ///
+    /// # Errors
+    ///
+    /// [`ThermalError::EmptyGrid`] for a zero dimension, else
+    /// [`ThermalError::NonPhysical`] naming the first of `g_lateral`,
+    /// `g_vertical` and `g_sink` that is not finite and positive, or a
+    /// non-finite `ambient_k`; [`ThermalError::IllConditioned`] when
+    /// rounding leaves a pivot that is not positive and finite.
+    pub fn new(w: u16, h: u16, tiers: u16, cfg: &ThermalConfig) -> Result<Self, ThermalError> {
+        if w == 0 || h == 0 || tiers == 0 {
+            return Err(ThermalError::EmptyGrid);
+        }
+        cfg.validate()?;
+        let dims = [w, h, tiers].map(usize::from);
+        let (stride, bw) = solve_order(dims);
+        let n = dims.iter().product::<usize>();
+        let mut s = ThermalSolver {
+            cfg: cfg.clone(),
+            dims,
+            stride,
+            bw,
+            l: vec![0.0; n * (bw + 1)],
+        };
+        let at = |i: usize, j: usize| (i + 1) * bw + j;
+        for k in 0..n {
+            let (i, sink, neighbors) = s.stencil(k);
+            s.l[at(i, i)] = sink;
+            for (j, g) in neighbors {
+                s.l[at(i, i)] += g;
+                if j < i {
+                    s.l[at(i, j)] = -g;
                 }
             }
         }
-        Stencil {
-            inv_g_sum,
-            rhs,
-            nbr_start,
-            nbr,
-            colors,
-        }
-    }
-
-    /// One cell update: reads only opposite-color neighbors (every
-    /// stencil neighbor differs by one in exactly one coordinate, so its
-    /// parity flips) plus the cell's own previous value — which is why a
-    /// color sweep can be chunked across workers without changing a bit.
-    #[inline]
-    fn relax(&self, temps: &[f64], i: usize) -> f64 {
-        let (s, e) = (self.nbr_start[i] as usize, self.nbr_start[i + 1] as usize);
-        let mut gt = self.rhs[i];
-        for &(j, g) in &self.nbr[s..e] {
-            gt += g * temps[j as usize];
-        }
-        (1.0 - SOR_OMEGA) * temps[i] + SOR_OMEGA * gt * self.inv_g_sum[i]
-    }
-
-    /// Sweeps one color class, returning the largest update. `threads`
-    /// only changes wall-clock time: workers compute disjoint chunks from
-    /// the same pre-sweep state and the results are written back in index
-    /// order, bit-identical to the sequential loop.
-    fn sweep_color(&self, temps: &mut [f64], color: usize, threads: usize) -> f64 {
-        let cells = &self.colors[color];
-        if threads <= 1 || cells.len() < 2 {
-            let mut max_delta = 0.0f64;
-            for &iu in cells {
-                let i = iu as usize;
-                let t = self.relax(temps, i);
-                let delta = (t - temps[i]).abs();
-                if delta > max_delta {
-                    max_delta = delta;
-                }
-                temps[i] = t;
+        // Row by row: L[i][j] = (A[i][j] - Σ_{k<j} L[i][k] L[j][k]) / L[j][j].
+        let l = &mut s.l;
+        for i in 0..n {
+            let lo = i.saturating_sub(bw);
+            for j in lo..=i {
+                let v = l[at(i, j)] - (lo..j).map(|k| l[at(i, k)] * l[at(j, k)]).sum::<f64>();
+                l[at(i, j)] = match (j < i, v > 0.0 && v.is_finite()) {
+                    (true, _) => v / l[at(j, j)],
+                    (false, true) => v.sqrt(),
+                    (false, false) => return Err(ThermalError::IllConditioned),
+                };
             }
-            return max_delta;
         }
-        let chunk = cells.len().div_ceil(threads);
-        let updated: Vec<(f64, Vec<f64>)> = std::thread::scope(|scope| {
-            let shared: &[f64] = temps;
-            let handles: Vec<_> = cells
-                .chunks(chunk)
-                .map(|c| {
-                    scope.spawn(move || {
-                        let mut vals = Vec::with_capacity(c.len());
-                        let mut max_delta = 0.0f64;
-                        for &iu in c {
-                            let i = iu as usize;
-                            let t = self.relax(shared, i);
-                            let delta = (t - shared[i]).abs();
-                            if delta > max_delta {
-                                max_delta = delta;
-                            }
-                            vals.push(t);
-                        }
-                        (max_delta, vals)
-                    })
-                })
-                .collect();
-            handles
+        Ok(s)
+    }
+
+    /// Half-bandwidth of the factor.
+    pub fn half_bandwidth(&self) -> usize {
+        self.bw
+    }
+
+    /// The cell at [`PowerMap`] index `k`: its solve-order position, its
+    /// sink conductance and its neighbors' positions and conductances.
+    fn stencil(&self, k: usize) -> (usize, f64, impl Iterator<Item = (usize, f64)>) {
+        let (dims, stride) = (self.dims, self.stride);
+        let [w, h, _] = dims;
+        let c = [k % w, k / w % h, k / (w * h)];
+        let i = (0..3).map(|a| c[a] * stride[a]).sum::<usize>();
+        let g = [self.cfg.g_lateral, self.cfg.g_lateral, self.cfg.g_vertical];
+        let neighbors = (0..3).flat_map(move |a| {
+            let below = (c[a] > 0).then(|| (i - stride[a], g[a]));
+            below
                 .into_iter()
-                .map(|h| h.join().expect("thermal sweep worker panicked"))
-                .collect()
+                .chain((c[a] + 1 < dims[a]).then(|| (i + stride[a], g[a])))
         });
-        let mut max_delta = 0.0f64;
-        for (c, (d, vals)) in cells.chunks(chunk).zip(&updated) {
-            max_delta = max_delta.max(*d);
-            for (&iu, &t) in c.iter().zip(vals) {
-                temps[iu as usize] = t;
+        (i, if c[2] == 0 { self.cfg.g_sink } else { 0.0 }, neighbors)
+    }
+
+    /// Solves one power map for `θ = T − T_amb` (`L y = P`, then
+    /// `Lᵀ θ = y`); [`ThermalMap::residual_k`] is the largest update one
+    /// Jacobi sweep would then make.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `power` is not on the solver's grid.
+    pub fn solve(&self, power: &PowerMap) -> ThermalMap {
+        let (w, h, tiers) = power.dims();
+        assert_eq!(
+            [w, h, tiers].map(usize::from),
+            self.dims,
+            "power map off the solver's grid"
+        );
+        let (n, bw) = (power.power.len(), self.bw);
+        let mut theta = vec![0.0; n];
+        for (k, &p) in power.power.iter().enumerate() {
+            theta[self.stencil(k).0] = p;
+        }
+        for i in 0..n {
+            let row = &self.l[(i + 1) * bw..];
+            for k in i.saturating_sub(bw)..i {
+                theta[i] -= row[k] * theta[k];
+            }
+            theta[i] /= row[i];
+        }
+        for i in (0..n).rev() {
+            let row = &self.l[(i + 1) * bw..];
+            theta[i] /= row[i];
+            for k in i.saturating_sub(bw)..i {
+                theta[k] -= row[k] * theta[i];
             }
         }
-        max_delta
+        // Residual check: the largest one-sweep Jacobi update; a NaN sticks.
+        let (mut residual, mut temps) = (0.0f64, vec![0.0; n]);
+        for (k, &p) in power.power.iter().enumerate() {
+            let (i, sink, neighbors) = self.stencil(k);
+            let (g_sum, flow) =
+                neighbors.fold((sink, p), |(s, f), (j, g)| (s + g, f + g * theta[j]));
+            let update = (flow / g_sum - theta[i]).abs();
+            if update > residual || update.is_nan() {
+                residual = update;
+            }
+            temps[k] = theta[i] + self.cfg.ambient_k;
+        }
+        ThermalMap {
+            w,
+            h,
+            tiers,
+            temps,
+            iterations: 0,
+            residual_k: residual,
+            converged: residual < self.cfg.tolerance_k,
+        }
     }
 }
 
-/// Solves the steady-state temperature field by red-black SOR
-/// ([`solve_red_black`]), on one thread for the paper's grids.
+/// Solves the steady-state temperature field exactly, building a
+/// [`ThermalSolver`] for this one map. Callers that solve many maps on
+/// one grid build the solver once instead.
+///
+/// # Panics
+///
+/// Panics if [`ThermalSolver::new`] rejects `cfg` (a non-physical
+/// conductance or ambient); [`solve_checked`] returns that error instead.
 pub fn solve(power: &PowerMap, cfg: &ThermalConfig) -> ThermalMap {
-    solve_red_black(power, cfg, auto_threads(power))
+    let (w, h, tiers) = power.dims();
+    match ThermalSolver::new(w, h, tiers, cfg) {
+        Ok(solver) => solver.solve(power),
+        Err(e) => panic!("{e}"),
+    }
 }
 
-/// [`solve`] that fails loudly instead of silently returning the last
-/// sweep when the iteration cap is hit.
+/// [`solve`] that returns a rejected config as an error, and a map that
+/// fails its residual check as [`ThermalError::NotConverged`] instead of
+/// silently.
 ///
 /// # Errors
 ///
-/// [`ThermalError::NotConverged`] when `max_iters` sweeps left the
-/// residual at or above [`ThermalConfig::tolerance_k`].
+/// The [`ThermalSolver::new`] errors, and [`ThermalError::NotConverged`]
+/// when the residual is at or above [`ThermalConfig::tolerance_k`].
 pub fn solve_checked(power: &PowerMap, cfg: &ThermalConfig) -> Result<ThermalMap, ThermalError> {
-    let map = solve(power, cfg);
+    let (w, h, tiers) = power.dims();
+    let map = ThermalSolver::new(w, h, tiers, cfg)?.solve(power);
     if map.converged {
         Ok(map)
     } else {
         Err(ThermalError::NotConverged {
-            iterations: map.iterations,
+            residual_k: map.residual_k,
         })
-    }
-}
-
-/// Worker count for [`solve`]: one thread below [`PAR_THRESHOLD`] cells
-/// (the paper's grids), otherwise one per hardware thread.
-fn auto_threads(power: &PowerMap) -> usize {
-    if power.power.len() < PAR_THRESHOLD {
-        1
-    } else {
-        std::thread::available_parallelism().map_or(1, |n| n.get())
-    }
-}
-
-/// Red-black SOR over the resistive grid with an explicit worker count.
-/// The result is bit-identical for any `threads` value (colors only read
-/// the opposite color, chunks merge in index order); one iteration is one
-/// full red+black sweep, comparable to a reference Gauss-Seidel sweep.
-pub fn solve_red_black(power: &PowerMap, cfg: &ThermalConfig, threads: usize) -> ThermalMap {
-    let (w, h, tiers) = power.dims();
-    let st = Stencil::build(power, cfg);
-    let mut temps = vec![cfg.ambient_k; power.power.len()];
-    let threads = threads.max(1);
-
-    let mut iterations = 0;
-    let mut residual = f64::INFINITY;
-    for it in 0..cfg.max_iters {
-        let d_red = st.sweep_color(&mut temps, 0, threads);
-        let d_black = st.sweep_color(&mut temps, 1, threads);
-        residual = d_red.max(d_black);
-        iterations = it + 1;
-        if residual < cfg.tolerance_k {
-            break;
-        }
-    }
-    ThermalMap {
-        w,
-        h,
-        tiers,
-        temps,
-        iterations,
-        residual_k: residual,
-        converged: residual < cfg.tolerance_k,
     }
 }
 
 /// The seed's sequential Gauss-Seidel solver, kept verbatim as the
 /// reference oracle: lexicographic sweeps, stencil conductances
 /// recomputed in every cell visit, no over-relaxation. Tests assert the
-/// red-black path against it; `bench_thermal` and the `pim-bench perf`
+/// exact solve against it; `bench_thermal` and the `pim-bench perf`
 /// solver micro-benchmark measure the speedup over it.
 pub fn solve_reference(power: &PowerMap, cfg: &ThermalConfig) -> ThermalMap {
     let (w, h, tiers) = power.dims();
@@ -738,21 +755,36 @@ mod tests {
         power
     }
 
+    /// The Gauss-Seidel oracle run far past the production tolerance.
+    fn tight_reference(power: &PowerMap, cfg: &ThermalConfig) -> ThermalMap {
+        let tight = ThermalConfig {
+            max_iters: 1_000_000,
+            tolerance_k: 1e-12,
+            ..cfg.clone()
+        };
+        let gs = solve_reference(power, &tight);
+        assert!(
+            gs.converged,
+            "reference capped at residual {}",
+            gs.residual_k
+        );
+        gs
+    }
+
     #[test]
-    fn red_black_agrees_with_the_reference_oracle() {
-        // Both solvers iterate the same fixed-point equations; converged
-        // runs must land within a few tolerances of each other on every
-        // cell, for both stack configurations.
+    fn exact_solve_agrees_with_the_reference_oracle() {
+        // The exact solve must match a tightly converged Gauss-Seidel run
+        // on every cell, for both stack configurations.
         for cfg in [ThermalConfig::m3d(), ThermalConfig::tsv()] {
             let power = gradient_power(5, 5, 4);
-            let rb = solve_red_black(&power, &cfg, 1);
-            let gs = solve_reference(&power, &cfg);
-            assert!(rb.converged && gs.converged);
+            let exact = solve(&power, &cfg);
+            let gs = tight_reference(&power, &cfg);
+            assert!(exact.converged && exact.residual_k < cfg.tolerance_k);
             for z in 0..4 {
                 for y in 0..5 {
                     for x in 0..5 {
-                        let (a, b) = (rb.get(x, y, z), gs.get(x, y, z));
-                        assert!((a - b).abs() < 5e-4, "cell ({x},{y},{z}): rb {a} vs gs {b}");
+                        let (a, b) = (exact.get(x, y, z), gs.get(x, y, z));
+                        assert!((a - b).abs() < 1e-8, "cell ({x},{y},{z}): {a} vs gs {b}");
                     }
                 }
             }
@@ -760,29 +792,42 @@ mod tests {
     }
 
     #[test]
-    fn red_black_converges_much_faster_than_the_reference() {
-        let power = gradient_power(5, 5, 4);
-        let cfg = ThermalConfig::m3d();
-        let rb = solve_red_black(&power, &cfg, 1);
-        let gs = solve_reference(&power, &cfg);
-        assert!(
-            gs.iterations >= 3 * rb.iterations,
-            "SOR must cut sweeps >=3x: reference {} vs red-black {}",
-            gs.iterations,
-            rb.iterations
+    fn one_factor_solves_every_power_map() {
+        // A solver built once gives the same map as a one-off solve, for
+        // several right-hand sides in a row.
+        let cfg = ThermalConfig::tsv();
+        let solver = ThermalSolver::new(6, 5, 3, &cfg).unwrap();
+        for scale in [0.0, 1.0, 2.5] {
+            let mut power = gradient_power(6, 5, 3);
+            power.power.iter_mut().for_each(|p| *p *= scale);
+            assert_eq!(solver.solve(&power), solve(&power, &cfg));
+        }
+    }
+
+    #[test]
+    fn half_bandwidth_is_the_grid_over_its_largest_dimension() {
+        for (dims, bw) in [
+            ([5, 5, 4], 20),
+            ([16, 16, 16], 256),
+            ([32, 32, 4], 128),
+            ([1, 1, 64], 1),
+            ([4, 7, 3], 12),
+        ] {
+            assert_eq!(solve_order(dims).1, bw, "grid {dims:?}");
+        }
+        assert_eq!(
+            ThermalSolver::new(5, 5, 4, &ThermalConfig::m3d())
+                .unwrap()
+                .half_bandwidth(),
+            20
         );
     }
 
     #[test]
-    fn red_black_is_thread_count_independent() {
-        // Colors only read the opposite color, so chunking a sweep across
-        // any worker count is bit-identical to the sequential loop.
-        let power = gradient_power(6, 5, 4);
-        let cfg = ThermalConfig::m3d();
-        let one = solve_red_black(&power, &cfg, 1);
-        for threads in [2, 3, 8, 64] {
-            assert_eq!(solve_red_black(&power, &cfg, threads), one);
-        }
+    #[should_panic(expected = "power map off the solver's grid")]
+    fn a_map_off_the_solver_grid_panics() {
+        let solver = ThermalSolver::new(5, 5, 4, &ThermalConfig::m3d()).unwrap();
+        solver.solve(&gradient_power(4, 5, 5));
     }
 
     #[test]
@@ -792,28 +837,92 @@ mod tests {
         let map = solve(&power, &cfg);
         assert!(map.converged);
         assert!(map.residual_k < cfg.tolerance_k);
-        assert!(map.iterations < cfg.max_iters);
+        assert_eq!(map.iterations, 0);
         let checked = solve_checked(&power, &cfg).expect("converges");
         assert_eq!(checked, map);
     }
 
     #[test]
-    fn capped_runs_are_flagged_not_silent() {
-        // An unreachable tolerance within 3 sweeps: the map must say so
-        // and the checked API must turn it into a typed error.
+    fn residuals_above_tolerance_are_flagged_not_silent() {
+        // No residual is under a zero tolerance: the map must say so and
+        // the checked API must turn it into a typed error.
         let power = gradient_power(5, 5, 4);
         let cfg = ThermalConfig {
-            max_iters: 3,
-            tolerance_k: 1e-12,
+            tolerance_k: 0.0,
             ..ThermalConfig::m3d()
         };
         let map = solve(&power, &cfg);
         assert!(!map.converged);
-        assert_eq!(map.iterations, 3);
         assert!(map.residual_k >= cfg.tolerance_k);
         assert_eq!(
             solve_checked(&power, &cfg),
-            Err(ThermalError::NotConverged { iterations: 3 })
+            Err(ThermalError::NotConverged {
+                residual_k: map.residual_k
+            })
+        );
+    }
+
+    #[test]
+    fn non_physical_configs_are_typed_errors() {
+        let power = gradient_power(5, 5, 4);
+        let cases = [
+            (
+                ThermalConfig {
+                    g_sink: 0.0,
+                    ..ThermalConfig::m3d()
+                },
+                "g_sink",
+            ),
+            (
+                ThermalConfig {
+                    g_lateral: f64::NAN,
+                    ..ThermalConfig::m3d()
+                },
+                "g_lateral",
+            ),
+            (
+                ThermalConfig {
+                    g_vertical: -2.0,
+                    ..ThermalConfig::tsv()
+                },
+                "g_vertical",
+            ),
+            (
+                ThermalConfig {
+                    ambient_k: f64::INFINITY,
+                    ..ThermalConfig::m3d()
+                },
+                "ambient_k",
+            ),
+        ];
+        for (cfg, field) in cases {
+            let err = ThermalError::NonPhysical(field);
+            assert_eq!(ThermalSolver::new(5, 5, 4, &cfg).unwrap_err(), err);
+            assert_eq!(solve_checked(&power, &cfg), Err(err));
+        }
+    }
+
+    #[test]
+    #[should_panic(expected = "thermal `g_sink` must be finite and > 0")]
+    fn solve_panics_on_a_non_physical_config() {
+        let cfg = ThermalConfig {
+            g_sink: 0.0,
+            ..ThermalConfig::m3d()
+        };
+        solve(&gradient_power(5, 5, 4), &cfg);
+    }
+
+    #[test]
+    fn pivots_lost_to_rounding_are_typed_errors() {
+        // A vertical conductance of 1e-300 leaves the upper tiers'
+        // lateral blocks singular in f64: valid fields, no usable factor.
+        let cfg = ThermalConfig {
+            g_vertical: 1e-300,
+            ..ThermalConfig::m3d()
+        };
+        assert_eq!(
+            ThermalSolver::new(5, 5, 4, &cfg).unwrap_err(),
+            ThermalError::IllConditioned
         );
     }
 

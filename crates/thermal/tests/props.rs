@@ -1,7 +1,12 @@
-//! Property-based tests of the thermal solver's physical invariants.
+//! Property-based tests of the thermal solver's physical invariants, and
+//! of the exact solve against the Gauss-Seidel reference oracle.
 
 use proptest::prelude::*;
-use thermal::{solve, PowerMap, ThermalConfig};
+use thermal::{solve, solve_reference, PowerMap, ThermalConfig};
+
+/// Grid shapes of the oracle check: the paper's stack, a small stack, a
+/// single tier and a tall column.
+const SHAPES: [(u16, u16, u16); 4] = [(5, 5, 4), (4, 4, 2), (3, 7, 1), (2, 2, 6)];
 
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(24))]
@@ -67,5 +72,33 @@ proptest! {
         let map = solve(&power, &cfg);
         prop_assert!(map.mean_k() >= cfg.ambient_k - 1e-9);
         prop_assert!(map.peak_k() >= cfg.ambient_k - 1e-9);
+    }
+
+    /// The exact solve agrees with a tightly converged Gauss-Seidel run
+    /// on every cell, on every oracle shape and both stacks, and passes
+    /// its own residual check.
+    #[test]
+    fn exact_solve_matches_the_reference_oracle(
+        shape in 0usize..SHAPES.len(),
+        tsv in any::<bool>(),
+        watts in prop::collection::vec(0.0f64..2.0, 100),
+    ) {
+        let (w, h, tiers) = SHAPES[shape];
+        let cfg = if tsv { ThermalConfig::tsv() } else { ThermalConfig::m3d() };
+        let mut power = PowerMap::new(w, h, tiers).unwrap();
+        let cells = (0..tiers)
+            .flat_map(|z| (0..h).flat_map(move |y| (0..w).map(move |x| (x, y, z))));
+        for ((x, y, z), &p) in cells.clone().zip(&watts) {
+            power.set(x, y, z, p).unwrap();
+        }
+        let exact = solve(&power, &cfg);
+        prop_assert!(exact.converged && exact.residual_k < cfg.tolerance_k);
+        let oracle = ThermalConfig { tolerance_k: 1e-12, max_iters: 1_000_000, ..cfg };
+        let reference = solve_reference(&power, &oracle);
+        prop_assert!(reference.converged);
+        for (x, y, z) in cells {
+            let (a, b) = (exact.get(x, y, z), reference.get(x, y, z));
+            prop_assert!((a - b).abs() < 1e-8, "cell ({}, {}, {}): {} vs {}", x, y, z, a, b);
+        }
     }
 }
