@@ -173,8 +173,9 @@ fn cache_stats_notes_are_opt_in() {
 #[test]
 fn des_component_counters_are_pinned_at_one_thread() {
     // The Fig. 3 grid at the `noi_hifi` sampling: 3,732 channel-disjoint
-    // components, 1,901 of them replayed from the memo, so the DES
-    // simulates 3,592,314 of the 6,397,148 packets a whole-snapshot run
+    // components. 2,900 are link-free and costed in closed form; of the
+    // 832 that reach the memo, 428 are replayed from it, so the DES
+    // simulates 2,189,100 of the 6,397,148 packets a whole-snapshot run
     // would. Above one thread two cells may both miss a component, so
     // only the one-thread counts are fixed.
     let out = run_cli_env(
@@ -192,8 +193,8 @@ fn des_component_counters_are_pinned_at_one_thread() {
     );
     assert!(
         out.contains(
-            "eval cache: 0 hits, 20 misses; DES components: 3732 runs, 1901 hits, \
-             3592314 packets simulated"
+            "eval cache: 0 hits, 20 misses; DES components: 832 runs, 428 hits, \
+             2189100 packets simulated, 2900 link-free in closed form"
         ),
         "{out}"
     );
@@ -205,7 +206,7 @@ fn des_component_counters_are_pinned_at_one_thread() {
     assert!(
         both.contains(
             "eval cache: 20 hits, 0 misses; DES components: 0 runs, 0 hits, \
-             0 packets simulated"
+             0 packets simulated, 0 link-free in closed form"
         ),
         "{both}"
     );

@@ -5,7 +5,9 @@
 //! consumer would reject. Degenerate and oversized `--set` overrides
 //! must exit 1 promptly with a typed config error, and so must products
 //! of fields over their budget, non-physical thermal or power values,
-//! and valid configs too small for a 3D experiment's model. A `tiers`
+//! valid configs too small for a 3D experiment's model, and a vertical
+//! conductance too large for the thermal solve to keep its energy
+//! balance in f64. A `tiers`
 //! override shapes the 3D stack only and leaves 2.5D tables unchanged.
 
 use std::process::{Command, Stdio};
@@ -83,10 +85,12 @@ fn oversized_inputs_exit_promptly_with_a_config_error() {
     // non-physical temperatures with exit 0, or panicked (exit 101) in a
     // 3D experiment whose model no longer fits the stack. The validator
     // must reject the first kinds before any platform is built; the last
-    // kind is valid config, so the experiment returns a typed error.
+    // kinds are valid config, so the experiment returns a typed error. A
+    // `g_vertical` of 1e300 once printed 300.0 K in every cell with exit 0.
     const CELL: [&str; 6] = ["run", "fig3", "--workload", "WL1", "--arch", "Kite"];
     const UNFIT: &str = "model does not fit the system: insufficient capacity";
-    let probes: [(&[&str], &[&str], &str); 15] = [
+    const ILL: &str = "invalid thermal model: thermal conductances too far apart to solve in f64";
+    let probes: [(&[&str], &[&str], &str); 16] = [
         (&CELL, &["batch=4294967295"], "`batch` must be <= 1024"),
         (&CELL, &["batch=1000000"], "`batch` must be <= 1024"),
         (
@@ -116,6 +120,7 @@ fn oversized_inputs_exit_promptly_with_a_config_error() {
             &["dynamic_power_budget_w=NaN"],
             "`dynamic_power_budget_w` must be finite and >= 0",
         ),
+        (&["run", "fig7"], &["thermal.g_vertical=1e300"], ILL),
         (&["run", "fig6"], &["tiers=1"], UNFIT),
         (&["run", "fig7"], &["pim.crossbars_per_node=1"], UNFIT),
         (&["run", "fig6"], &["width=2", "height=2"], UNFIT),
@@ -149,7 +154,7 @@ fn oversized_inputs_exit_promptly_with_a_config_error() {
         let out = child.wait_with_output().expect("pim-bench exits");
         let stderr = String::from_utf8_lossy(&out.stderr);
         assert_eq!(out.status.code(), Some(1), "`--set {sets:?}`: {stderr}");
-        let config_error = expected != UNFIT;
+        let config_error = expected != UNFIT && expected != ILL;
         assert!(
             stderr.contains(expected) && (!config_error || stderr.contains("invalid config")),
             "`{run:?} --set {sets:?}`: {stderr}"

@@ -11,8 +11,8 @@ use mapper::{
     StrategyKind,
 };
 use netsim::{
-    analyze_with_table, sample_flows_into, simulate_with_scratch, split_components_into, Flow,
-    RouteTable, SimConfig, SimReport,
+    analyze_with_table, link_free_totals, sample_flows_into, simulate_with_scratch,
+    split_components_into, DesTotals, Flow, RouteTable, SimConfig, SimScratch,
 };
 use serde::{Deserialize, Serialize};
 use topology::{FloretLayout, Topology, TopologyError, TopologySummary};
@@ -757,12 +757,15 @@ impl Platform25D {
     ///
     /// Each simulated snapshot's sampled flows are split into
     /// channel-disjoint components ([`netsim::split_components_into`]),
-    /// and each component runs through the DES on its own. Components
-    /// share no channel, so every packet is delivered at the cycle a run
-    /// over the whole snapshot delivers it: the snapshot's makespan is
-    /// the components' maximum, and its packets and integer latency sum
-    /// are their sums, which makes the snapshot's mean bit-identical. A
-    /// component recurs for as long as its tasks stay resident, so with
+    /// and each component is costed on its own. Components share no
+    /// channel, so every packet is delivered at the cycle a run over the
+    /// whole snapshot delivers it: the snapshot's makespan is the
+    /// components' maximum, and its packets and integer latency sum are
+    /// their sums, which makes the snapshot's mean bit-identical. A
+    /// link-free component (no link channel carries two of its flows)
+    /// never queues a header, so its totals come in closed form
+    /// ([`netsim::link_free_totals`]). Any other component runs through
+    /// the DES; it recurs for as long as its tasks stay resident, so with
     /// `memo` (the runner's enabled [`EvalCache`]) a component already
     /// simulated on this architecture is replayed instead of re-run.
     pub(crate) fn simulate_snapshots(
@@ -775,7 +778,41 @@ impl Platform25D {
         let mut sim_latency = 0u64;
         let mut packet_lat_weighted = 0.0;
         let mut packets = 0u64;
-        let sim_cfg = SimConfig { packet_bytes: 256 };
+        self.for_each_split_snapshot(outcome, scratch, |scratch| {
+            let mut whole = DesTotals::default();
+            let mut start = 0;
+            for &(end, link_free) in &scratch.component_ends {
+                let flows = &scratch.component_flows[start..end];
+                start = end;
+                whole.merge(self.component_totals(flows, link_free, &mut scratch.sim, memo));
+            }
+            sim_latency += whole.makespan_cycles;
+            let mean = if whole.packets == 0 {
+                0.0
+            } else {
+                whole.total_packet_latency_cycles as f64 / whole.packets as f64
+            };
+            packet_lat_weighted += mean * whole.packets as f64;
+            packets += whole.packets;
+        });
+        rep.sim_latency_cycles = sim_latency;
+        rep.mean_packet_latency_cycles = if packets == 0 {
+            0.0
+        } else {
+            packet_lat_weighted / packets as f64
+        };
+    }
+
+    /// Gathers the sampled flows of every snapshot the snapshot DES
+    /// costs (every `snapshot_every`-th and the last), splits them into
+    /// channel-disjoint components in `scratch.component_flows` and
+    /// `scratch.component_ends`, and hands `scratch` to `each`.
+    fn for_each_split_snapshot(
+        &self,
+        outcome: &ChurnOutcome,
+        scratch: &mut SweepScratch,
+        mut each: impl FnMut(&mut SweepScratch),
+    ) {
         let every = self.cfg.snapshot_every.max(1) as usize;
         let n_snaps = outcome.snapshots.len();
         for (si, snap) in outcome.snapshots.iter().enumerate() {
@@ -807,71 +844,38 @@ impl Platform25D {
                 &mut scratch.component_flows,
                 &mut scratch.component_ends,
             );
-            let mut whole = DesTotals::default();
-            let mut start = 0;
-            for &end in &scratch.component_ends {
-                let flows = &scratch.component_flows[start..end];
-                start = end;
-                let sim = &mut scratch.sim;
-                let mut run = || {
-                    DesTotals::of(&simulate_with_scratch(
-                        &self.topo,
-                        &self.cfg.hw,
-                        flows,
-                        &sim_cfg,
-                        &self.route,
-                        sim,
-                    ))
-                };
-                whole.merge(match memo {
-                    Some(cache) => cache.des_component(self.arch_name(), flows, run),
-                    None => run(),
-                });
+            each(scratch);
+        }
+    }
+
+    /// The DES totals of one snapshot component: in closed form when it
+    /// is link-free, else from `memo` or a DES run.
+    fn component_totals(
+        &self,
+        flows: &[Flow],
+        link_free: bool,
+        sim: &mut SimScratch,
+        memo: Option<&EvalCache>,
+    ) -> DesTotals {
+        let hw = &self.cfg.hw;
+        if link_free {
+            if let Some(cache) = memo {
+                cache.count_closed_form();
             }
-            sim_latency += whole.makespan_cycles;
-            let mean = if whole.packets == 0 {
-                0.0
-            } else {
-                whole.latency_cycles as f64 / whole.packets as f64
-            };
-            packet_lat_weighted += mean * whole.packets as f64;
-            packets += whole.packets;
+            return link_free_totals(&self.topo, hw, flows, &SNAPSHOT_SIM, &self.route, sim);
         }
-        rep.sim_latency_cycles = sim_latency;
-        rep.mean_packet_latency_cycles = if packets == 0 {
-            0.0
-        } else {
-            packet_lat_weighted / packets as f64
+        let mut run = || {
+            simulate_with_scratch(&self.topo, hw, flows, &SNAPSHOT_SIM, &self.route, sim).totals()
         };
-    }
-}
-
-/// What a report keeps of one DES run: the makespan, the integer sum of
-/// packet latencies and the packet count. The runs of a snapshot's
-/// channel-disjoint components merge into the snapshot's by maximum and
-/// sums.
-#[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
-pub(crate) struct DesTotals {
-    pub(crate) makespan_cycles: u64,
-    pub(crate) latency_cycles: u64,
-    pub(crate) packets: u64,
-}
-
-impl DesTotals {
-    fn of(r: &SimReport) -> Self {
-        DesTotals {
-            makespan_cycles: r.makespan_cycles,
-            latency_cycles: r.total_packet_latency_cycles,
-            packets: r.packets,
+        match memo {
+            Some(cache) => cache.des_component(self.arch_name(), flows, run),
+            None => run(),
         }
     }
-
-    fn merge(&mut self, part: DesTotals) {
-        self.makespan_cycles = self.makespan_cycles.max(part.makespan_cycles);
-        self.latency_cycles += part.latency_cycles;
-        self.packets += part.packets;
-    }
 }
+
+/// The packet size of the snapshot DES.
+const SNAPSHOT_SIM: SimConfig = SimConfig { packet_bytes: 256 };
 
 #[cfg(test)]
 mod tests {
@@ -1034,5 +1038,57 @@ mod tests {
         assert_eq!(graphs.len(), 28);
         // The 16 leading ResNet18 tasks share a structure.
         assert_eq!(graphs[0].segment_count(), graphs[15].segment_count());
+    }
+
+    #[test]
+    fn closed_form_matches_the_des_on_every_link_free_fig3_component() {
+        // The Fig. 3 grid (the Table II mixes on every NoI, weight
+        // stationary, default sampling), split as the snapshot DES splits
+        // it: every link-free component's closed form must equal its DES
+        // run.
+        let cfg = SystemConfig::datacenter_25d();
+        let mode = CostModel::Mode(Dataflow::WeightStationary);
+        let mut scratch = SweepScratch::new();
+        let (mut link_free, mut contended) = (0, 0);
+        for arch in NoiArch::all() {
+            let p = Platform25D::new(arch, &cfg).unwrap();
+            for wl in dnn::table2() {
+                let graphs = Platform25D::task_graphs(&wl);
+                let outcome = p.churn_outcome_from_graphs(&graphs);
+                p.report_without_des(&wl, &graphs, &outcome, &mode, &mut scratch);
+                p.for_each_split_snapshot(&outcome, &mut scratch, |s| {
+                    let mut start = 0;
+                    for &(end, free) in &s.component_ends {
+                        let flows = &s.component_flows[start..end];
+                        start = end;
+                        if !free {
+                            contended += 1;
+                            continue;
+                        }
+                        let (topo, rt) = (&p.topo, &p.route);
+                        let des = simulate_with_scratch(
+                            topo,
+                            &cfg.hw,
+                            flows,
+                            &SNAPSHOT_SIM,
+                            rt,
+                            &mut s.sim,
+                        );
+                        let closed =
+                            link_free_totals(topo, &cfg.hw, flows, &SNAPSHOT_SIM, rt, &mut s.sim);
+                        assert_eq!(
+                            closed,
+                            des.totals(),
+                            "{} on {}: {flows:?}",
+                            wl.name,
+                            p.arch_name()
+                        );
+                        link_free += 1;
+                    }
+                });
+            }
+        }
+        // 2,900 of the grid's 3,732 components are link-free.
+        assert_eq!((link_free, contended), (2_900, 832));
     }
 }

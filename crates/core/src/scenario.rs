@@ -770,12 +770,14 @@ impl ExperimentRegistry {
                 let delta = stats.since(before);
                 out.notes.push(format!(
                     "eval cache: {} hits, {} misses; DES components: {} runs, {} hits, \
-                     {} packets simulated (config fingerprint {:016x})",
+                     {} packets simulated, {} link-free in closed form \
+                     (config fingerprint {:016x})",
                     delta.hits,
                     delta.misses,
                     delta.component_runs,
                     delta.component_hits,
                     delta.packets_simulated,
+                    delta.closed_form_components,
                     ctx.cache_fingerprint().unwrap_or(0),
                 ));
             }

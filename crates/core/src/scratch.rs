@@ -48,10 +48,11 @@ pub struct SweepScratch {
     pub(crate) sampled_flows: Vec<Flow>,
     /// The sampled traffic grouped into channel-disjoint components, as
     /// [`netsim::split_components_into`] leaves it; each component is
-    /// handed to the DES on its own.
+    /// costed on its own.
     pub(crate) component_flows: Vec<Flow>,
-    /// End of each component in `component_flows`.
-    pub(crate) component_ends: Vec<usize>,
+    /// Per component: its end in `component_flows`, and whether it is
+    /// link-free.
+    pub(crate) component_ends: Vec<(usize, bool)>,
 }
 
 impl SweepScratch {

@@ -43,13 +43,13 @@ use std::thread;
 
 use dnn::{Dataflow, SegmentGraph, Workload};
 use mapper::ChurnOutcome;
-use netsim::Flow;
+use netsim::{DesTotals, Flow};
 use serde::Serialize;
 use topology::{TopologyError, TopologySummary};
 
 use crate::arch::NoiArch;
 use crate::config::SystemConfig;
-use crate::platform25::{CostModel, DesTotals, Platform25D, SearchedResolution, WorkloadReport};
+use crate::platform25::{CostModel, Platform25D, SearchedResolution, WorkloadReport};
 use crate::scratch::{ScratchPool, SweepScratch};
 
 /// Default worker count: one per available hardware thread.
@@ -121,6 +121,10 @@ pub struct CacheStats {
     pub component_hits: u64,
     /// Packets the DES simulated for the components that missed.
     pub packets_simulated: u64,
+    /// Link-free components ([`netsim::split_components_into`]) costed
+    /// in closed form ([`netsim::link_free_totals`]); they never reach
+    /// the memo, so `component_runs` does not count them.
+    pub closed_form_components: u64,
 }
 
 impl CacheStats {
@@ -134,6 +138,7 @@ impl CacheStats {
             component_runs: self.component_runs - earlier.component_runs,
             component_hits: self.component_hits - earlier.component_hits,
             packets_simulated: self.packets_simulated - earlier.packets_simulated,
+            closed_form_components: self.closed_form_components - earlier.closed_form_components,
         }
     }
 }
@@ -193,6 +198,7 @@ pub struct EvalCache {
     component_runs: AtomicU64,
     component_hits: AtomicU64,
     packets_simulated: AtomicU64,
+    closed_form_components: AtomicU64,
 }
 
 impl fmt::Debug for EvalCache {
@@ -260,6 +266,7 @@ impl EvalCache {
             component_runs: AtomicU64::new(0),
             component_hits: AtomicU64::new(0),
             packets_simulated: AtomicU64::new(0),
+            closed_form_components: AtomicU64::new(0),
         }
     }
 
@@ -281,7 +288,14 @@ impl EvalCache {
             component_runs: self.component_runs.load(Ordering::Relaxed),
             component_hits: self.component_hits.load(Ordering::Relaxed),
             packets_simulated: self.packets_simulated.load(Ordering::Relaxed),
+            closed_form_components: self.closed_form_components.load(Ordering::Relaxed),
         }
+    }
+
+    /// Counts one link-free component costed in closed form instead of
+    /// through the memo.
+    pub(crate) fn count_closed_form(&self) {
+        self.closed_form_components.fetch_add(1, Ordering::Relaxed);
     }
 
     /// The DES totals of one channel-disjoint snapshot component on

@@ -8,42 +8,45 @@
 //! streams behind it (cut-through). Contention appears as busy channels
 //! that delay the header.
 //!
-//! Only link traversals go through the event loop. Every packet enters
-//! its source NI at cycle 0 in seq order and no fault window covers an
-//! NI, so each NI grant is a running sum of the source's serialization
-//! times: one pass computes them all. The heap holds each source's next
-//! first-link header, and the source's following header is queued when
-//! that one first pops, so the heap never grows to the packet count.
-//! Delivery needs no event either: a packet's tail drains one
-//! serialization window after its header crosses the last link, and that
-//! time is recorded when the last channel is granted.
+//! A header reserves its channel the moment it arrives, at the later of
+//! its arrival and the end of the channel's last reservation. Headers
+//! arrive in `(time, seq, hop)` order, so that grant is exact: a
+//! contended channel serves strictly in arrival order, with no wait
+//! queue and no release event. Every packet enters its source NI at cycle
+//! 0 in seq order and no fault window covers an NI, so the NI grants are
+//! reserved up front.
 //!
-//! Link contention is wait-queue based: a header that reaches a busy
-//! channel is parked once in that channel's FIFO queue and woken by a
-//! single channel-release event, with no retry polling. Events are
-//! `(time, key)` pairs on a binary min-heap. A packet has at most one
-//! pending header and a channel at most one pending release, so no two
-//! pending events share a pair and the dequeue order is a strict total
-//! order. Service order on a contended channel is strictly by header
-//! arrival time, and the simulation is fully deterministic.
+//! A granted header's arrival at its next channel joins the departure
+//! FIFO of the channel it was granted. Grants on a channel strictly
+//! increase and every header leaving it takes that channel's own delay,
+//! so each FIFO stays in time order and only its head sits on the binary
+//! min-heap; a popped head's successor takes its place in one sift. A
+//! header that meets a fault window re-enters the heap alone, at the
+//! window end. Keys pack `(time, seq, hop)` into one `u128`
+//! ([`header_key`]), and a packet has one pending header, so the dequeue
+//! order is a strict total order. Delivery needs no event: a packet's
+//! tail drains one serialization window after its header crosses the
+//! last link, recorded when that link is granted.
 //! [`SimReport::heap_events`] counts the events of that model (a header
-//! per traversal, a delivery per packet, a wake per contended
-//! acquisition), including those computed without the heap.
+//! per traversal, a delivery per packet, a wake per contended grant),
+//! including those computed without the heap.
 //!
 //! All simulator state is arena-backed SoA held in a reusable
 //! [`SimScratch`]: hop records are stored once per flow, in flat vectors
-//! sliced by a per-flow offset table, and each packet names its flow;
-//! wait-queue nodes come from a pooled free-list chained by index — no
-//! per-packet heap allocation, and a warm scratch runs the whole
-//! simulation without allocating at all.
+//! sliced by a per-flow offset table, each packet names its flow, and the
+//! FIFOs are chained through per-packet links — no per-packet heap
+//! allocation, and a warm scratch runs the whole simulation without
+//! allocating at all.
 //!
 //! Flows that share no channel never interact. [`split_components_into`]
 //! splits a flow set into channel-disjoint components; running each one
 //! alone delivers every packet at the cycle the whole run delivers it,
 //! so a caller that meets the same component again can reuse its result.
+//! In a component where no link channel carries two flows no header ever
+//! waits, and [`link_free_totals`] gives its run's totals in closed form.
 
 use std::cmp::Reverse;
-use std::collections::BinaryHeap;
+use std::collections::binary_heap::{BinaryHeap, PeekMut};
 
 use serde::{Deserialize, Serialize};
 use topology::{HwParams, LinkId, NodeId, Topology};
@@ -95,15 +98,15 @@ pub struct SimReport {
     pub mean_hop_header_latency_cycles: f64,
     /// Worst single-traversal header latency observed, cycles.
     pub max_hop_header_latency_cycles: u64,
-    /// Cycles headers spent parked in channel wait queues, summed over
-    /// all traversals (pure contention; zero on an idle network).
+    /// Cycles headers waited for busy channels, summed over all
+    /// traversals (pure contention; zero on an idle network).
     pub total_channel_wait_cycles: u64,
     /// Modelled scheduler events, not heap operations: one header event
     /// per channel traversal (the source NI included), one delivery event
-    /// per packet, one wake per contended channel acquisition (NI queueing
-    /// included) and one re-arrival per fault deferral. NI grants and
-    /// deliveries are computed without the heap but counted here all the
-    /// same.
+    /// per packet, one wake per contended channel grant (NI queueing
+    /// included) and one re-arrival per fault deferral. NI grants, wakes
+    /// and deliveries are computed without the heap but counted here all
+    /// the same.
     pub heap_events: u64,
     /// Cycles headers spent stalled at transiently faulted channels,
     /// summed over all deferrals (zero on a healthy network).
@@ -112,12 +115,47 @@ pub struct SimReport {
     pub faulted_traversals: u64,
 }
 
+impl SimReport {
+    /// The fields that merge exactly across the runs of a flow set's
+    /// channel-disjoint components.
+    pub fn totals(&self) -> DesTotals {
+        DesTotals {
+            makespan_cycles: self.makespan_cycles,
+            total_packet_latency_cycles: self.total_packet_latency_cycles,
+            packets: self.packets,
+        }
+    }
+}
+
+/// The makespan, the integer latency sum and the packet count of a run:
+/// what the runs of a flow set's channel-disjoint components
+/// ([`split_components_into`]) merge into exactly, by maximum and sums,
+/// and what [`link_free_totals`] computes in closed form.
+#[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
+pub struct DesTotals {
+    /// [`SimReport::makespan_cycles`].
+    pub makespan_cycles: u64,
+    /// [`SimReport::total_packet_latency_cycles`].
+    pub total_packet_latency_cycles: u64,
+    /// [`SimReport::packets`].
+    pub packets: u64,
+}
+
+impl DesTotals {
+    /// Folds in the totals of another channel-disjoint component.
+    pub fn merge(&mut self, part: DesTotals) {
+        self.makespan_cycles = self.makespan_cycles.max(part.makespan_cycles);
+        self.total_packet_latency_cycles += part.total_packet_latency_cycles;
+        self.packets += part.packets;
+    }
+}
+
 /// Transient channel fault windows for one simulation run: a header
 /// arriving at a faulted channel defers (one re-scheduled event) to the
 /// window end, accumulating [`SimReport::total_fault_wait_cycles`].
-/// Windows gate header *arrivals*; a header already parked in the
-/// channel's FIFO when the fault strikes is granted normally, modelling
-/// a link that drops its handshake but preserves buffered flits.
+/// Windows gate header *arrivals*; a header that reserved the channel
+/// before the fault strikes is granted normally, modelling a link that
+/// drops its handshake but preserves buffered flits.
 #[derive(Clone, Debug, Default)]
 pub struct LinkFaults {
     /// `windows[channel]` holds ascending, non-overlapping `[start, end)`
@@ -177,59 +215,34 @@ impl LinkFaults {
     }
 }
 
-#[derive(PartialEq, Eq)]
-enum EventKind {
-    /// A channel finished serializing its current packet; serve the next
-    /// waiter from the channel's FIFO queue.
-    Free { ch: u32 },
-    /// A packet header arrives wanting its `hop`-th channel, a link
-    /// (`hop >= 1`; hop 0 is the source NI).
-    Header { seq: u32, hop: u16 },
+/// The tag in the lowest bit of a heap key that marks a fault deferral's
+/// re-arrival, which sits on the heap outside any departure FIFO.
+const DEFERRED: u128 = 1;
+
+/// The heap key of a header reaching hop `hop` of packet `seq` at `time`:
+/// `time << 64 | seq << 17 | hop << 1`, whose integer order is the
+/// `(time, seq, hop)` order. The lowest bit is free for [`DEFERRED`];
+/// a packet has one pending header, so no two pending keys share
+/// `(time, seq, hop)` and the tag never decides the order.
+fn header_key(time: u64, seq: u32, hop: u16) -> u128 {
+    (u128::from(time) << 64) | (u128::from(seq) << 17) | (u128::from(hop) << 1)
 }
 
-impl EventKind {
-    /// Packs the deterministic secondary sort key `(tag, id, hop)` into
-    /// one `u64` whose integer order equals the tuple order: releases
-    /// drain before new arrivals at the same cycle (a header landing
-    /// exactly when a contended channel frees queues behind the earlier
-    /// waiters). This is the second field of the event heap's
-    /// `(time, key)` order.
-    fn order_key(&self) -> u64 {
-        match *self {
-            EventKind::Free { ch } => (ch as u64) << 16,
-            EventKind::Header { seq, hop } => (1u64 << 48) | ((seq as u64) << 16) | hop as u64,
-        }
-    }
-
-    /// Inverse of [`EventKind::order_key`].
-    fn from_order_key(key: u64) -> EventKind {
-        // pim-lint: allow(truncating-cast) -- unpacking the masked 32-bit id field of order_key
-        let id = ((key >> 16) & 0xFFFF_FFFF) as u32;
-        if key >> 48 == 0 {
-            EventKind::Free { ch: id }
-        } else {
-            EventKind::Header {
-                seq: id,
-                // pim-lint: allow(truncating-cast) -- unpacking the masked 16-bit hop field of order_key
-                hop: (key & 0xFFFF) as u16,
-            }
-        }
-    }
+/// Inverse of [`header_key`], ignoring the [`DEFERRED`] tag.
+fn unpack_key(key: u128) -> (u64, u32, u16) {
+    // pim-lint: allow(truncating-cast) -- unpacking the 32-bit seq field of header_key
+    let seq = (key >> 17) as u32;
+    // pim-lint: allow(truncating-cast) -- unpacking the 16-bit hop field of header_key
+    let hop = (key >> 1) as u16;
+    ((key >> 64) as u64, seq, hop)
 }
 
-/// Sentinel index for "no node" in the wait-queue free lists.
+/// Sentinel for "no header" in the departure FIFOs: the key of hop 0,
+/// which no FIFO holds (a queued header's next hop is a link).
+const EMPTY: u128 = 0;
+
+/// Sentinel for "no component label yet" in [`split_components_into`].
 const NIL: u32 = u32::MAX;
-
-/// A parked header in a channel's FIFO wait queue. Nodes live in the
-/// scratch's shared pool and are chained through `next` (per-channel
-/// queue when parked, free list when recycled).
-#[derive(Clone, Copy)]
-struct WaitNode {
-    seq: u32,
-    hop: u16,
-    arrived: u64,
-    next: u32,
-}
 
 /// Arena-backed SoA packet storage. Every packet of a flow follows the
 /// flow's route, so the hop records (`channels`, `hop_delay`) are stored
@@ -309,26 +322,24 @@ impl LoopStats {
 }
 
 /// Reusable simulator state: the packet arena, the scheduler (busy
-/// times, NI chains, wait queues, event heap), and the report buffers.
-/// Construct one per worker and pass it to [`simulate_with_scratch`] run
-/// after run — every buffer is cleared with capacity kept, so a warm
-/// scratch makes the whole simulation allocation-free.
+/// times, departure FIFOs, event heap), the report buffers and the
+/// component split's union-find. Construct one per worker and pass it to
+/// [`simulate_with_scratch`] run after run — every buffer is cleared with
+/// capacity kept, so a warm scratch makes the whole simulation
+/// allocation-free.
 pub struct SimScratch {
     arena: PacketArena,
+    /// Per channel: the cycle its last reservation ends.
     busy_until: Vec<u64>,
-    /// Per packet: the next packet of the same source, whose first-link
-    /// header is queued when this packet's first pops; `NIL` at a
-    /// source's last packet and once queued.
-    ni_next: Vec<u32>,
-    /// Per channel: the last packet granted at that NI so far (used only
-    /// while the injection pass links `ni_next`).
-    ni_last: Vec<u32>,
-    wait_head: Vec<u32>,
-    wait_tail: Vec<u32>,
-    wait_nodes: Vec<WaitNode>,
-    free_node: u32,
-    /// Pending `(time, order_key)` events, earliest first.
-    queue: BinaryHeap<Reverse<(u64, u64)>>,
+    /// Per channel: the key of the last header in its departure FIFO;
+    /// [`EMPTY`] while the FIFO is empty.
+    fifo_tail: Vec<u128>,
+    /// Per packet: the key of the header behind its queued one in the
+    /// same departure FIFO; [`EMPTY`] at the tail.
+    fifo_next: Vec<u128>,
+    /// The head of every non-empty departure FIFO and every deferred
+    /// header, as [`header_key`]s, earliest first.
+    queue: BinaryHeap<Reverse<u128>>,
     stats: LoopStats,
     path: Vec<LinkId>,
     /// Per-traversal energies of one packet of the flow being built (the
@@ -337,6 +348,9 @@ pub struct SimScratch {
     /// Per channel: the union-find parent while
     /// [`split_components_into`] joins channels into components.
     component_parent: Vec<u32>,
+    /// Per channel: whether a union-find root's component has a link
+    /// channel that carries two flows.
+    component_shared: Vec<bool>,
     /// Per channel: the component index of a union-find root; `NIL`
     /// until the root's first flow is labelled.
     component_label: Vec<u32>,
@@ -360,17 +374,14 @@ impl SimScratch {
         SimScratch {
             arena: PacketArena::default(),
             busy_until: Vec::new(),
-            ni_next: Vec::new(),
-            ni_last: Vec::new(),
-            wait_head: Vec::new(),
-            wait_tail: Vec::new(),
-            wait_nodes: Vec::new(),
-            free_node: NIL,
+            fifo_tail: Vec::new(),
+            fifo_next: Vec::new(),
             queue: BinaryHeap::new(),
             stats: LoopStats::default(),
             path: Vec::new(),
             hop_energy: Vec::new(),
             component_parent: Vec::new(),
+            component_shared: Vec::new(),
             component_label: Vec::new(),
         }
     }
@@ -384,6 +395,7 @@ impl SimScratch {
         self.path.clear();
         self.hop_energy.clear();
         self.component_parent.clear();
+        self.component_shared.clear();
         self.component_label.clear();
         self.reset_engine(0);
     }
@@ -391,131 +403,47 @@ impl SimScratch {
     fn reset_engine(&mut self, n_channels: usize) {
         self.busy_until.clear();
         self.busy_until.resize(n_channels, 0);
-        self.ni_next.clear();
-        self.ni_next.resize(self.arena.len(), NIL);
-        self.ni_last.clear();
-        self.ni_last.resize(n_channels, NIL);
-        self.wait_head.clear();
-        self.wait_head.resize(n_channels, NIL);
-        self.wait_tail.clear();
-        self.wait_tail.resize(n_channels, NIL);
-        self.wait_nodes.clear();
-        self.free_node = NIL;
+        self.fifo_tail.clear();
+        self.fifo_tail.resize(n_channels, EMPTY);
+        self.fifo_next.clear();
+        self.fifo_next.resize(self.arena.len(), EMPTY);
         self.queue.clear();
         self.stats = LoopStats::default();
     }
 
-    /// Queues event `ev` at `time`.
-    fn schedule(&mut self, time: u64, ev: EventKind) {
-        self.queue.push(Reverse((time, ev.order_key())));
-    }
-
-    fn has_waiters(&self, ch: usize) -> bool {
-        self.wait_head[ch] != NIL
-    }
-
-    /// Appends a parked header to channel `ch`'s FIFO, recycling a free
-    /// node when one exists.
-    fn park(&mut self, ch: usize, seq: u32, hop: u16, arrived: u64) {
-        let node = WaitNode {
-            seq,
-            hop,
-            arrived,
-            next: NIL,
-        };
-        let idx = if self.free_node != NIL {
-            let idx = self.free_node;
-            self.free_node = self.wait_nodes[idx as usize].next;
-            self.wait_nodes[idx as usize] = node;
-            idx
-        } else {
-            self.wait_nodes.push(node);
-            topology::narrow::u32_idx(self.wait_nodes.len() - 1)
-        };
-        if self.wait_tail[ch] == NIL {
-            self.wait_head[ch] = idx;
-        } else {
-            self.wait_nodes[self.wait_tail[ch] as usize].next = idx;
-        }
-        self.wait_tail[ch] = idx;
-    }
-
-    /// Pops the front waiter of channel `ch` and returns its node to the
-    /// free list.
-    fn pop_waiter(&mut self, ch: usize) -> WaitNode {
-        let idx = self.wait_head[ch];
-        assert!(
-            idx != NIL,
-            "a Free event is only armed while waiters are parked"
-        );
-        let node = self.wait_nodes[idx as usize];
-        self.wait_head[ch] = node.next;
-        if node.next == NIL {
-            self.wait_tail[ch] = NIL;
-        }
-        self.wait_nodes[idx as usize].next = self.free_node;
-        self.free_node = idx;
-        node
-    }
-
-    /// Grants every packet its source NI, in place of the time-0 header
-    /// events and the NI wakes. All packets enter at cycle 0 in seq order
-    /// and no fault window covers an NI, so a packet's grant is the sum
-    /// of the serialization times of its source's earlier packets. Queues
-    /// each source's first first-link header and chains the rest through
-    /// `ni_next`.
-    fn inject(&mut self) {
-        for seq in 0..self.arena.len() {
-            let start = self.arena.start(seq);
-            let ni = self.arena.channels[start] as usize;
-            let granted = self.busy_until[ni];
-            self.busy_until[ni] = granted + self.arena.ser_cycles[seq];
-            let header_arrives = granted + self.arena.hop_delay[start];
-            self.stats.traverse(0, granted, header_arrives);
-            // The packet's time-0 header event.
-            self.stats.heap_events += 1;
-            let seq = topology::narrow::u32_idx(seq);
-            match self.ni_last[ni] {
-                NIL => self.schedule(header_arrives, EventKind::Header { seq, hop: 1 }),
-                prev => {
-                    self.ni_next[prev as usize] = seq;
-                    // The NI release that woke this packet.
-                    self.stats.heap_events += 1;
-                }
-            }
-            self.ni_last[ni] = seq;
-        }
-    }
-
-    /// On the first pop of packet `seq`'s first-link header, at `time`,
-    /// queues the next first-link header of the same source: the NI
-    /// grants that packet when it releases `seq`. The link is consumed,
-    /// so a fault deferral's re-pop queues nothing.
-    fn release_ni(&mut self, seq: u32, time: u64) {
-        let next = std::mem::replace(&mut self.ni_next[seq as usize], NIL);
-        if next != NIL {
-            let (s, n) = (seq as usize, next as usize);
-            let granted =
-                time - self.arena.hop_delay[self.arena.start(s)] + self.arena.ser_cycles[s];
-            let arrives = granted + self.arena.hop_delay[self.arena.start(n)];
-            self.schedule(arrives, EventKind::Header { seq: next, hop: 1 });
-        }
-    }
-
-    /// Grants packet `seq` its `hop`-th channel at `now` (the header
-    /// arrived wanting it at `arrived <= now`) and schedules the next
-    /// hop, or records the delivery when that was the last channel.
-    fn acquire(&mut self, seq: u32, hop: u16, now: u64, arrived: u64) {
+    /// Grants packet `seq` its `hop`-th channel for a header arriving at
+    /// `arrived`: at the later of the arrival and the end of the channel's
+    /// last reservation. Queues the next hop's arrival in the channel's
+    /// departure FIFO, or records the delivery after the last channel.
+    fn reserve(&mut self, seq: u32, hop: u16, arrived: u64) {
         let s = seq as usize;
         let records = self.arena.records(s);
         let rec = records.start + hop as usize;
         let ch = self.arena.channels[rec] as usize;
         let ser = self.arena.ser_cycles[s];
-        self.busy_until[ch] = now + ser;
-        let header_arrives = now + self.arena.hop_delay[rec];
-        self.stats.traverse(arrived, now, header_arrives);
+        let granted = arrived.max(self.busy_until[ch]);
+        self.busy_until[ch] = granted + ser;
+        let header_arrives = granted + self.arena.hop_delay[rec];
+        self.stats.traverse(arrived, granted, header_arrives);
+        if granted > arrived {
+            // The wake that grants a queued header when the channel frees.
+            self.stats.heap_events += 1;
+        }
         if rec + 1 < records.end {
-            self.schedule(header_arrives, EventKind::Header { seq, hop: hop + 1 });
+            let key = header_key(header_arrives, seq, hop + 1);
+            self.fifo_next[s] = EMPTY;
+            match self.fifo_tail[ch] {
+                EMPTY => self.queue.push(Reverse(key)),
+                tail => {
+                    let (tail_departs, tail_seq, _) = unpack_key(tail);
+                    debug_assert!(
+                        tail_departs < header_arrives,
+                        "channel {ch}: departure {header_arrives} queued behind {tail_departs}"
+                    );
+                    self.fifo_next[tail_seq as usize] = key;
+                }
+            }
+            self.fifo_tail[ch] = key;
         } else {
             // The tail drains one serialization window after the header
             // lands; this stands in for the delivery event.
@@ -529,34 +457,44 @@ impl SimScratch {
         }
     }
 
-    /// Handles a link Header event: defer off a faulted channel, acquire
-    /// a free channel, or park on a busy one (the first waiter arms the
-    /// channel's release event).
-    fn dispatch_header(&mut self, seq: u32, hop: u16, time: u64, faults: &LinkFaults) {
-        let s = seq as usize;
-        let ch = self.arena.channels[self.arena.start(s) + hop as usize] as usize;
+    /// Pops the earliest pending header and lets it arrive at its next
+    /// channel: it defers off a faulted channel, else reserves it.
+    /// Returns false once the heap is empty. A popped FIFO head's
+    /// successor replaces it in place; a deferred header belongs to no
+    /// FIFO.
+    fn step(&mut self, faults: &LinkFaults) -> bool {
+        let (time, seq, hop) = {
+            let Some(mut top) = self.queue.peek_mut() else {
+                return false;
+            };
+            let key = top.0;
+            let (time, seq, hop) = unpack_key(key);
+            let next = self.fifo_next[seq as usize];
+            if key & DEFERRED != 0 {
+                PeekMut::pop(top);
+            } else if next == EMPTY {
+                PeekMut::pop(top);
+                let from = self.arena.start(seq as usize) + hop as usize - 1;
+                self.fifo_tail[self.arena.channels[from] as usize] = EMPTY;
+            } else {
+                top.0 = next;
+            }
+            (time, seq, hop)
+        };
+        self.stats.heap_events += 1;
+        let ch = self.arena.channels[self.arena.start(seq as usize) + hop as usize] as usize;
         if let Some(end) = faults.blocked_until(ch, time) {
-            // The channel is mid-blackout: defer the header to the
-            // window end with a single rescheduled event (re-checked on
-            // arrival, so back-to-back windows chain naturally).
+            // The channel is mid-blackout: defer the header to the window
+            // end with a single re-arrival (re-checked then, so
+            // back-to-back windows chain naturally).
             self.stats.fault_wait_total += end - time;
             self.stats.faulted_traversals += 1;
-            self.schedule(end, EventKind::Header { seq, hop });
-            return;
-        }
-        if self.busy_until[ch] <= time && !self.has_waiters(ch) {
-            self.acquire(seq, hop, time, time);
+            self.queue
+                .push(Reverse(header_key(end, seq, hop) | DEFERRED));
         } else {
-            if !self.has_waiters(ch) {
-                self.schedule(
-                    self.busy_until[ch],
-                    EventKind::Free {
-                        ch: topology::narrow::u32_idx(ch),
-                    },
-                );
-            }
-            self.park(ch, seq, hop, time);
+            self.reserve(seq, hop, time);
         }
+        true
     }
 }
 
@@ -602,6 +540,12 @@ fn link_channel(topo: &Topology, lid: LinkId, from: NodeId) -> u32 {
 /// channels.
 fn ni_channel(topo: &Topology, n: NodeId) -> u32 {
     topology::narrow::u32_idx(2 * topo.link_count()) + n.0
+}
+
+/// Every channel the simulator numbers: the directed links, then the
+/// source NIs.
+fn channel_count(topo: &Topology) -> usize {
+    2 * topo.link_count() + topo.node_count()
 }
 
 /// Segments `flows` into packets in the scratch's arena: each flow's
@@ -694,25 +638,25 @@ fn build_packets_into(
 /// numbering; components are the transitive closure of that. `out`
 /// receives the flows that carry traffic, grouped by component:
 /// components in order of their first flow, flows in input order within
-/// each. `ends[c]` is the end of component `c` in `out`, which starts at
-/// `ends[c - 1]` (0 for the first). Flows with `src == dst` or zero
+/// each. `ends[c]` is `(end, link_free)` for component `c`: its end in
+/// `out`, which it starts at `ends[c - 1].0` (0 for the first), and
+/// whether no directed link channel carries two of its flows, so that
+/// [`link_free_totals`] costs it exactly. Flows with `src == dst` or zero
 /// bytes are dropped, as the simulator drops them.
 ///
 /// # Why a component run is exact
 ///
 /// Components share no channel, so no event of one reads or writes the
-/// busy time, wait queue or NI chain of another. Run alone, a
-/// component's packets are renumbered `0..n` in their old relative
-/// order, which keeps the relative `(time, order_key)` order of its
-/// events: header keys order by `(seq, hop)`, release keys by channel
-/// id, and release keys stay below header keys. So each component pops
-/// its events in the order the whole run pops them, and every packet is
-/// delivered at the same cycle. The whole run's `makespan_cycles` and
-/// `max_hop_header_latency_cycles` are then the maxima over the
-/// component runs, and its `packets`, `total_packet_latency_cycles`,
-/// `flit_hops`, `total_channel_wait_cycles` and `heap_events` their
-/// sums. The p95 and the float fields (energy, mean hop latency) do not
-/// merge bit for bit from component reports.
+/// busy time or departure FIFO of another. Run alone, a component's
+/// packets are renumbered `0..n` in their old relative order, which
+/// keeps the relative `(time, seq, hop)` order of its header events. So
+/// each component pops its events in the order the whole run pops them,
+/// and every packet is delivered at the same cycle. The whole run's
+/// `makespan_cycles` and `max_hop_header_latency_cycles` are then the
+/// maxima over the component runs, and its `packets`,
+/// `total_packet_latency_cycles`, `flit_hops`, `total_channel_wait_cycles`
+/// and `heap_events` their sums. The p95 and the float fields (energy,
+/// mean hop latency) do not merge bit for bit from component reports.
 ///
 /// The union-find buffers live in `scratch`, so a warm scratch and warm
 /// output buffers split without allocating.
@@ -726,54 +670,60 @@ pub fn split_components_into(
     rt: &RouteTable,
     scratch: &mut SimScratch,
     out: &mut Vec<Flow>,
-    ends: &mut Vec<usize>,
+    ends: &mut Vec<(usize, bool)>,
 ) {
     let SimScratch {
         path,
         component_parent: parent,
+        component_shared: shared,
         component_label: label,
         ..
     } = scratch;
-    let n_channels = 2 * topo.link_count() + topo.node_count();
+    let n_channels = channel_count(topo);
     parent.clear();
     parent.extend((0..n_channels).map(topology::narrow::u32_idx));
+    shared.clear();
+    shared.resize(n_channels, false);
     label.clear();
     label.resize(n_channels, NIL);
-    // Join every link channel of a flow's route to its source NI.
+    // Join every link channel of a flow's route under its source NI's
+    // root. Roots are NI channels, so a link channel has a parent once
+    // it carries a flow, and meeting it again shares it. Two components
+    // only ever join at such a shared link, so the flag needs no merge.
     for f in flows.iter().filter(|f| carries_traffic(f)) {
         let ni = ni_channel(topo, f.src);
         rt.path_into(topo, f.src, f.dst, path);
         let mut at = f.src;
         for &lid in path.iter() {
-            let (a, b) = (
-                find_root(parent, ni),
-                find_root(parent, link_channel(topo, lid, at)),
-            );
-            parent[a.max(b) as usize] = a.min(b);
+            let ch = link_channel(topo, lid, at);
+            let carried = parent[ch as usize] != ch;
+            let (a, b) = (find_root(parent, ni), find_root(parent, ch));
+            parent[b as usize] = a;
+            shared[a as usize] |= carried;
             at = topo.link(lid).opposite(at);
         }
     }
     // Label components in order of their first flow and count their
-    // flows, then place the flows by a counting sort: `ends[c]` holds
+    // flows, then place the flows by a counting sort: `ends[c].0` holds
     // component `c`'s start and advances past each flow placed.
     ends.clear();
     for f in flows.iter().filter(|f| carries_traffic(f)) {
         let root = find_root(parent, ni_channel(topo, f.src)) as usize;
         if label[root] == NIL {
             label[root] = topology::narrow::u32_idx(ends.len());
-            ends.push(0);
+            ends.push((0, !shared[root]));
         }
-        ends[label[root] as usize] += 1;
+        ends[label[root] as usize].0 += 1;
     }
     let mut start = 0;
-    for e in ends.iter_mut() {
+    for (e, _) in ends.iter_mut() {
         start += std::mem::replace(e, start);
     }
     out.clear();
     out.resize(start, Flow::new(NodeId(0), NodeId(0), 0));
     for f in flows.iter().filter(|f| carries_traffic(f)) {
         let root = find_root(parent, ni_channel(topo, f.src)) as usize;
-        let at = &mut ends[label[root] as usize];
+        let at = &mut ends[label[root] as usize].0;
         out[*at] = *f;
         *at += 1;
     }
@@ -789,32 +739,78 @@ fn find_root(parent: &mut [u32], mut ch: u32) -> u32 {
     ch
 }
 
-/// The event loop. The injection pass grants every NI up front; then
-/// each packet enters the heap once per link. A header that finds its
-/// link busy parks in the channel's FIFO and is woken by a single
-/// [`EventKind::Free`] event, so contended channels serve strictly in
-/// header-arrival order.
-fn run_event_loop(st: &mut SimScratch, n_channels: usize, faults: &LinkFaults) {
-    st.reset_engine(n_channels);
-    st.inject();
-    while let Some(Reverse((time, key))) = st.queue.pop() {
-        st.stats.heap_events += 1;
-        match EventKind::from_order_key(key) {
-            EventKind::Header { seq, hop } => {
-                if hop == 1 {
-                    st.release_ni(seq, time);
-                }
-                st.dispatch_header(seq, hop, time, faults);
+/// The [`DesTotals`] of `flows` in closed form, without the event loop.
+///
+/// Every packet enters its source NI at cycle 0 in seq order, so its NI
+/// grant is the sum of its source's earlier serialization times. It is
+/// delivered at that grant plus the router pipeline, its route's hop
+/// delays and its own serialization time, plus whatever its header
+/// waits at busy links. A flow's packets of one size follow each other
+/// one serialization time apart, so their deliveries are an arithmetic
+/// series, summed per flow.
+///
+/// Without the waits, every delivery is a lower bound on the DES's. It
+/// is exact when no directed link channel carries two of the flows, as
+/// in a component [`split_components_into`] flags link-free: each packet
+/// then reaches every link at the cycle its predecessor frees it.
+///
+/// # Panics
+///
+/// Panics if a flow references a node outside the topology.
+pub fn link_free_totals(
+    topo: &Topology,
+    hw: &HwParams,
+    flows: &[Flow],
+    cfg: &SimConfig,
+    rt: &RouteTable,
+    scratch: &mut SimScratch,
+) -> DesTotals {
+    assert!(cfg.packet_bytes > 0, "packet size must be positive");
+    let (ni_free, path) = (&mut scratch.busy_until, &mut scratch.path);
+    ni_free.clear();
+    ni_free.resize(channel_count(topo), 0);
+    let packet_bytes = u64::from(cfg.packet_bytes);
+    let flits = |bytes: u64| bytes.div_ceil(u64::from(hw.flit_bytes)).max(1);
+    let mut totals = DesTotals::default();
+    for f in flows.iter().filter(|f| carries_traffic(f)) {
+        rt.path_into(topo, f.src, f.dst, path);
+        let hops = path
+            .iter()
+            .map(|&l| hw.hop_cycles(topo.link(l).length_hops));
+        let route = u64::from(hw.router_pipeline_cycles) + hops.sum::<u64>();
+        let ni = &mut ni_free[ni_channel(topo, f.src) as usize];
+        let (full, tail) = (f.bytes / packet_bytes, f.bytes % packet_bytes);
+        let sizes = [
+            (flits(packet_bytes), full),
+            (flits(tail), u64::from(tail > 0)),
+        ];
+        for (ser, count) in sizes {
+            if count == 0 {
+                continue;
             }
-            EventKind::Free { ch } => {
-                let w = st.pop_waiter(ch as usize);
-                st.acquire(w.seq, w.hop, time, w.arrived);
-                if st.has_waiters(ch as usize) {
-                    st.schedule(st.busy_until[ch as usize], EventKind::Free { ch });
-                }
-            }
+            // The k-th of these packets is delivered at `first + k * ser`.
+            let first = *ni + route + ser;
+            totals.merge(DesTotals {
+                makespan_cycles: first + (count - 1) * ser,
+                total_packet_latency_cycles: count * first + ser * (count * (count - 1) / 2),
+                packets: count,
+            });
+            *ni += count * ser;
         }
     }
+    totals
+}
+
+/// The event loop: every packet's time-0 header reserves its source NI,
+/// in seq order; then headers arrive at their links in `(time, seq, hop)`
+/// order until the heap drains, which must leave every packet delivered.
+fn run_event_loop(st: &mut SimScratch, n_channels: usize, faults: &LinkFaults) {
+    st.reset_engine(n_channels);
+    for seq in 0..st.arena.len() {
+        st.stats.heap_events += 1;
+        st.reserve(topology::narrow::u32_idx(seq), 0, 0);
+    }
+    while st.step(faults) {}
     let (delivered, n) = (st.stats.delivered, st.arena.len());
     assert_eq!(
         delivered, n,
@@ -874,8 +870,7 @@ pub fn simulate_faulty_with_scratch(
 ) -> SimReport {
     assert!(cfg.packet_bytes > 0, "packet size must be positive");
     let (energy_pj, flit_hops) = build_packets_into(topo, hw, flows, cfg, rt, scratch);
-    let n_channels = 2 * topo.link_count() + topo.node_count();
-    run_event_loop(scratch, n_channels, faults);
+    run_event_loop(scratch, channel_count(topo), faults);
 
     let delivered_at = &mut scratch.arena.delivered_at;
     let packets = delivered_at.len() as u64;
@@ -1355,11 +1350,11 @@ mod tests {
         );
     }
 
-    /// The wait-queue loop must do at most half the heap work of the
-    /// seed's retry-polling loop under heavy contention (the PR's ≥2×
-    /// scheduler-efficiency acceptance bar).
+    /// The reservation scheduler must model at most half the events of
+    /// the seed's retry-polling loop under heavy contention (a ≥2×
+    /// scheduler-efficiency bar).
     #[test]
-    fn wait_queue_halves_heap_events_under_contention() {
+    fn reservation_halves_retry_polling_events_under_contention() {
         let topo = mesh5();
         let hw = HwParams::default();
         let cfg = SimConfig::default();
@@ -1374,7 +1369,7 @@ mod tests {
 
         assert!(
             legacy_events >= 2 * st.stats.heap_events,
-            "retry polling {legacy_events} vs wait queues {} heap events",
+            "retry polling {legacy_events} vs reservations {} heap events",
             st.stats.heap_events
         );
         // Both loops agree on the aggregate timeline under this funnel
@@ -1448,6 +1443,40 @@ mod tests {
     }
 
     #[test]
+    fn a_deferred_header_keeps_its_order_at_the_window_end() {
+        // A (seq 0, 2 flits) reaches link (1,0)->(2,0) at cycle 4, inside
+        // a blackout that ends at 9; B (seq 1, 4 flits) reaches the same
+        // link from (0,0) at exactly cycle 9. By `(time, seq, hop)` the
+        // deferred A goes first, so only B waits, for A's 2 flits.
+        let topo = mesh5();
+        let hw = HwParams::default();
+        let cfg = SimConfig::default();
+        let rt = RouteTable::build(&topo, &hw);
+        let n = |x, y| topo.node_at(Coord::new2(x, y)).unwrap();
+        let flows = [
+            Flow::new(n(1, 0), n(3, 0), 64),
+            Flow::new(n(0, 0), n(3, 0), 128),
+        ];
+        let link = rt.path(&topo, n(1, 0), n(3, 0))[0];
+        let faults = LinkFaults::from_link_windows(&topo, &[(link, 0, 9)]);
+        let rep = simulate_faulty_with_scratch(
+            &topo,
+            &hw,
+            &flows,
+            &cfg,
+            &rt,
+            &faults,
+            &mut SimScratch::new(),
+        );
+        assert_eq!(
+            (rep.faulted_traversals, rep.total_fault_wait_cycles),
+            (1, 5)
+        );
+        assert_eq!(rep.total_channel_wait_cycles, 2);
+        assert_eq!(rep.makespan_cycles, 25);
+    }
+
+    #[test]
     fn ni_channels_are_never_faulted() {
         // Every link blacked out from cycle 0: no window slot exists for
         // an NI channel, so none of them is ever blocked.
@@ -1471,11 +1500,95 @@ mod tests {
         // 65,534 links plus the source NI: 65,535 traversals, the most
         // the 16-bit hop field holds.
         assert_hop_field_fits(65_534);
-        let last = EventKind::Header {
-            seq: u32::MAX,
-            hop: u16::MAX,
-        };
-        assert!(EventKind::from_order_key(last.order_key()) == last);
+    }
+
+    #[test]
+    fn header_keys_round_trip_at_their_field_limits() {
+        for (time, seq, hop) in [
+            (0, 0, 0),
+            (u64::MAX, u32::MAX, u16::MAX),
+            (1, u32::MAX, 0),
+            (u64::MAX, 0, u16::MAX),
+        ] {
+            let key = header_key(time, seq, hop);
+            assert_eq!(key & DEFERRED, 0);
+            assert_eq!(unpack_key(key), (time, seq, hop));
+            assert_eq!(unpack_key(key | DEFERRED), (time, seq, hop));
+        }
+        // Integer order is (time, seq, hop) order, whatever the tag.
+        let ordered = [
+            header_key(5, u32::MAX, u16::MAX) | DEFERRED,
+            header_key(6, 0, 0),
+            header_key(6, 0, 1) | DEFERRED,
+            header_key(6, 1, 0),
+        ];
+        assert!(ordered.windows(2).all(|w| w[0] < w[1]));
+    }
+
+    /// Runs `flows` one heap pop at a time under `faults`, checking before
+    /// each pop that the heap holds exactly the head of every non-empty
+    /// departure FIFO, one per channel, plus the deferred headers.
+    /// Returns the longest heap and the most deferred headers seen.
+    fn heap_holds_only_fifo_heads(flows: &[Flow], faults: &LinkFaults) -> (usize, usize) {
+        let topo = mesh5();
+        let hw = HwParams::default();
+        let rt = RouteTable::build(&topo, &hw);
+        let (arena, _, _) = build_packets(&topo, &hw, flows, &SimConfig::default(), &rt);
+        let mut st = SimScratch::new();
+        st.arena = arena;
+        st.reset_engine(channel_count(&topo));
+        for seq in 0..st.arena.len() {
+            st.reserve(topology::narrow::u32_idx(seq), 0, 0);
+        }
+        let (mut longest, mut most_deferred) = (0, 0);
+        loop {
+            let mut heads = std::collections::BTreeSet::new();
+            let mut deferred = 0;
+            for &Reverse(key) in st.queue.iter() {
+                let (_, seq, hop) = unpack_key(key);
+                if key & DEFERRED != 0 {
+                    deferred += 1;
+                } else {
+                    let from = st.arena.channels[st.arena.start(seq as usize) + hop as usize - 1];
+                    assert!(heads.insert(from), "two heads of channel {from}");
+                }
+            }
+            let pending = st.fifo_tail.iter().filter(|&&t| t != EMPTY).count();
+            assert_eq!(heads.len(), pending, "a non-empty FIFO without its head");
+            assert_eq!(st.queue.len(), pending + deferred);
+            longest = longest.max(st.queue.len());
+            most_deferred = most_deferred.max(deferred);
+            if !st.step(faults) {
+                break;
+            }
+        }
+        assert_eq!(st.stats.delivered, st.arena.len());
+        (longest, most_deferred)
+    }
+
+    #[test]
+    fn heap_holds_one_entry_per_busy_fifo_plus_deferrals() {
+        // 24 sources funnel 96 packets into one sink; the heap holds one
+        // header per channel with departures pending, far fewer than the
+        // packets in flight.
+        let burst = contention_burst();
+        let (longest, deferred) = heap_holds_only_fifo_heads(&burst, &LinkFaults::none());
+        assert!((24..96).contains(&longest), "{longest}");
+        assert_eq!(deferred, 0);
+
+        // Blackouts on every fifth link, staggered, defer headers that
+        // then sit on the heap outside any FIFO.
+        let topo = mesh5();
+        let windows: Vec<(LinkId, u64, u64)> = (0..topo.link_count())
+            .step_by(5)
+            .map(|l| {
+                let start = 20 * l as u64;
+                (LinkId(topology::narrow::u32_idx(l)), start, start + 150)
+            })
+            .collect();
+        let faults = LinkFaults::from_link_windows(&topo, &windows);
+        let (_, deferred) = heap_holds_only_fifo_heads(&burst, &faults);
+        assert!(deferred > 0, "the blackouts must defer some headers");
     }
 
     #[test]
@@ -1507,8 +1620,8 @@ mod tests {
     }
 
     #[test]
-    fn makespan_unchanged_by_wait_queue_rework_without_contention() {
-        // On a contention-free run, the rework must be observationally
+    fn matches_retry_polling_reference_without_contention() {
+        // On a contention-free run, the scheduler must be observationally
         // identical to the seed loop.
         let topo = mesh5();
         let hw = HwParams::default();

@@ -7,7 +7,8 @@
 //!   optimization inner loops;
 //! * [`simulate`] — packet-level discrete-event simulation with virtual
 //!   cut-through switching, FIFO channel contention and deterministic
-//!   event ordering;
+//!   event ordering, plus a closed form ([`link_free_totals`]) for flow
+//!   sets in which no link carries two flows;
 //! * [`RouteTable`] — latency-aware deterministic shortest-path routing
 //!   shared by both.
 //!
@@ -40,8 +41,9 @@ mod routing;
 pub use analytical::{analyze, analyze_with_table, AnalyticalReport};
 pub use calendar::CalendarQueue;
 pub use des::{
-    simulate, simulate_faulty_with_scratch, simulate_with_scratch, simulate_with_table,
-    split_components_into, LinkFaults, SimConfig, SimReport, SimScratch,
+    link_free_totals, simulate, simulate_faulty_with_scratch, simulate_with_scratch,
+    simulate_with_table, split_components_into, DesTotals, LinkFaults, SimConfig, SimReport,
+    SimScratch,
 };
 pub use flow::{sample_flows, sample_flows_into, total_bytes, Flow};
 pub use patterns::{all_patterns, generate_pattern, generate_pipeline, TrafficPattern};

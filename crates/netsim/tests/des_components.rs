@@ -12,12 +12,18 @@
 //! sources and cross routes on purpose, and include `src == dst` and
 //! zero-byte flows; the NI delay is 4 cycles or 0, and every run goes
 //! through a fresh scratch and through one dirtied by earlier runs.
+//!
+//! The split also flags each component in which no directed link channel
+//! carries two flows. The flag is checked against the oracle's channel
+//! sets, and [`link_free_totals`] must reproduce the DES's makespan,
+//! latency sum and packet count on every flagged component, and bound
+//! them from below on the rest.
 
 use std::collections::BTreeSet;
 
 use netsim::{
-    simulate_with_scratch, simulate_with_table, split_components_into, Flow, RouteTable, SimConfig,
-    SimReport, SimScratch,
+    link_free_totals, simulate_with_scratch, simulate_with_table, split_components_into, Flow,
+    RouteTable, SimConfig, SimReport, SimScratch,
 };
 use proptest::prelude::*;
 use topology::{floret, kite, mesh2d, HwParams, NodeId, Topology};
@@ -152,7 +158,7 @@ proptest! {
         let mut start = 0;
         let got: Vec<Vec<Flow>> = ends
             .iter()
-            .map(|&end| {
+            .map(|&(end, _)| {
                 let part = out[start..end].to_vec();
                 start = end;
                 part
@@ -181,7 +187,7 @@ proptest! {
         split_components_into(&topo, &flows, &rt, &mut dirty, &mut out, &mut ends);
         let mut start = 0;
         let mut dirty_parts = Vec::new();
-        for &end in &ends {
+        for &(end, _) in &ends {
             prop_assert_eq!(&out[start..end], &got[dirty_parts.len()][..]);
             dirty_parts.push(simulate_with_scratch(
                 &topo, &hw, &out[start..end], &cfg, &rt, &mut dirty,
@@ -189,6 +195,62 @@ proptest! {
             start = end;
         }
         prop_assert_eq!(&dirty_parts, &parts);
+    }
+
+    /// The link-free flag matches the oracle: no directed link channel
+    /// carries two of the component's flows. The closed form equals the
+    /// DES's totals on every flagged component, is a lower bound on the
+    /// others, and stays exact on the whole set when every component is
+    /// link-free (several sources included).
+    #[test]
+    fn link_free_components_cost_exactly_in_closed_form(
+        topo_idx in 0usize..3,
+        raw in prop::collection::vec(any::<u64>(), 0..16),
+        sources in 1u64..8,
+        pb_idx in 0usize..3,
+        rp_idx in 0usize..2,
+    ) {
+        let topo = arb_topology(topo_idx);
+        let hw = HwParams {
+            router_pipeline_cycles: [0, 4][rp_idx],
+            ..HwParams::default()
+        };
+        let cfg = SimConfig { packet_bytes: [64u32, 256, 1024][pb_idx] };
+        let rt = RouteTable::build(&topo, &hw);
+        let flows = flow_set(&raw, sources);
+
+        let mut scratch = SimScratch::new();
+        let (mut out, mut ends) = (Vec::new(), Vec::new());
+        split_components_into(&topo, &flows, &rt, &mut scratch, &mut out, &mut ends);
+        let groups = oracle_groups(&topo, &rt, &flows);
+        prop_assert_eq!(ends.len(), groups.len());
+        let mut start = 0;
+        for (&(end, link_free), idx) in ends.iter().zip(&groups) {
+            let part = &out[start..end];
+            start = end;
+            let mut links = BTreeSet::new();
+            let oracle_free = idx.iter().all(|&i| {
+                channels(&topo, &rt, &flows[i])
+                    .into_iter()
+                    .filter(|c| c.0 == 1)
+                    .all(|c| links.insert(c))
+            });
+            prop_assert_eq!(link_free, oracle_free);
+
+            let des = simulate_with_scratch(&topo, &hw, part, &cfg, &rt, &mut scratch).totals();
+            let closed = link_free_totals(&topo, &hw, part, &cfg, &rt, &mut scratch);
+            if link_free {
+                prop_assert_eq!(closed, des);
+            } else {
+                prop_assert_eq!(closed.packets, des.packets);
+                prop_assert!(closed.makespan_cycles <= des.makespan_cycles);
+                prop_assert!(closed.total_packet_latency_cycles <= des.total_packet_latency_cycles);
+            }
+        }
+        if ends.iter().all(|&(_, link_free)| link_free) {
+            let whole = simulate_with_table(&topo, &hw, &flows, &cfg, &rt).totals();
+            prop_assert_eq!(link_free_totals(&topo, &hw, &flows, &cfg, &rt, &mut scratch), whole);
+        }
     }
 }
 
@@ -218,5 +280,5 @@ fn a_shared_source_joins_disjoint_routes() {
         &mut ends,
     );
     assert_eq!(out, [flows[0], flows[1], flows[3]]);
-    assert_eq!(ends, [1, 3]);
+    assert_eq!(ends, [(1, true), (3, true)]);
 }

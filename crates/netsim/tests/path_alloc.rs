@@ -4,7 +4,8 @@
 //! simulation through a warm [`netsim::SimScratch`] — packet build,
 //! event loop, report assembly — allocates nothing at all, and neither
 //! does splitting a flow set into channel-disjoint components
-//! ([`netsim::split_components_into`]) and simulating each. The
+//! ([`netsim::split_components_into`]) and simulating each, or costing a
+//! link-free one in closed form ([`netsim::link_free_totals`]). The
 //! buffer-reuse rework also changes no observable simulation output
 //! (packet counts, report equality).
 
@@ -12,8 +13,8 @@ use std::alloc::{GlobalAlloc, Layout, System};
 use std::cell::Cell;
 
 use netsim::{
-    simulate_with_scratch, simulate_with_table, split_components_into, Flow, RouteTable, SimConfig,
-    SimReport, SimScratch,
+    link_free_totals, simulate_with_scratch, simulate_with_table, split_components_into, Flow,
+    RouteTable, SimConfig, SimReport, SimScratch,
 };
 use topology::{kite, mesh2d, HwParams, NodeId};
 
@@ -124,7 +125,8 @@ fn warm_simulate_with_scratch_is_allocation_free() {
 
 /// The split's union-find buffers live in the [`SimScratch`] and its
 /// output in caller-owned vectors, so once all of them are warm, a split
-/// plus one DES run per component allocates nothing.
+/// plus one DES run per component, and the closed form of each link-free
+/// one, allocate nothing.
 #[test]
 fn warm_component_split_is_allocation_free() {
     let topo = kite(6, 6).unwrap();
@@ -144,9 +146,14 @@ fn warm_component_split_is_allocation_free() {
         split_components_into(&topo, &flows, &rt, scratch, &mut out, &mut ends);
         reports.clear();
         let mut start = 0;
-        for &end in &ends {
+        for &(end, link_free) in &ends {
             let part = &out[start..end];
-            reports.push(simulate_with_scratch(&topo, &hw, part, &cfg, &rt, scratch));
+            let report = simulate_with_scratch(&topo, &hw, part, &cfg, &rt, scratch);
+            if link_free {
+                let closed = link_free_totals(&topo, &hw, part, &cfg, &rt, scratch);
+                assert_eq!(closed, report.totals());
+            }
+            reports.push(report);
             start = end;
         }
     };

@@ -25,6 +25,10 @@
 //! solution. [`solve_checked`] turns a residual at or above
 //! [`ThermalConfig::tolerance_k`] into a typed
 //! [`ThermalError::NotConverged`] instead of silently returning the map.
+//! That residual cannot see a factor that rounding has ruined, so
+//! [`ThermalSolver::new`] also solves one probe map and checks its energy
+//! balance (the heat leaving through the sink equals the injected
+//! power), returning [`ThermalError::IllConditioned`] when it fails.
 //!
 //! Tier convention: tier 0 is closest to the heat sink; the *bottom tier*
 //! of Fig. 7 (farthest from the sink, hottest) is tier `tiers - 1`.
@@ -70,9 +74,10 @@ pub enum ThermalError {
     /// conductance that is not finite and positive, or a non-finite
     /// ambient.
     NonPhysical(&'static str),
-    /// The conductances are valid but so far apart (e.g. a `1e-300`
-    /// next to a `0.05`) that rounding left a pivot of the factor that
-    /// is not positive and finite.
+    /// The conductances are valid but so far apart (e.g. a `1e-300` or a
+    /// `1e300` next to a `0.05`) that rounding ruined the factor: it left
+    /// a pivot that is not positive and finite, or a probe solve whose
+    /// sink heat misses the injected power by more than a relative 1e-6.
     IllConditioned,
     /// [`solve_checked`]'s residual check found the solution's largest
     /// one-sweep Jacobi update at or above [`ThermalConfig::tolerance_k`].
@@ -98,7 +103,7 @@ impl fmt::Display for ThermalError {
                 write!(f, "thermal `{field}` must be {expected}")
             }
             ThermalError::IllConditioned => {
-                write!(f, "thermal conductances too far apart to factor in f64")
+                write!(f, "thermal conductances too far apart to solve in f64")
             }
             ThermalError::NotConverged { residual_k } => {
                 write!(
@@ -349,6 +354,14 @@ pub struct ThermalSolver {
     l: Vec<f64>,
 }
 
+/// The largest relative energy imbalance [`ThermalSolver::new`] accepts
+/// on its probe solve (1 W in every cell). Measured on the 5×5×4,
+/// 16×16×16, 32×32×4 and 1×1×64 M3D grids: at most 3.3e-13 for
+/// `g_vertical` 0.3–4.0, 1.4e-7 at 1e6, 2.3e-6 to 2.5e-5 at 1e9, and 1.0
+/// at 1e300, where the factor is rounding noise and every cell reads
+/// ambient.
+const MAX_ENERGY_IMBALANCE: f64 = 1e-6;
+
 /// Strides of x, y and z with the largest dimension outermost, and the
 /// half-bandwidth that order gives.
 fn solve_order(dims: [usize; 3]) -> ([usize; 3], usize) {
@@ -372,7 +385,10 @@ impl ThermalSolver {
     /// [`ThermalError::NonPhysical`] naming the first of `g_lateral`,
     /// `g_vertical` and `g_sink` that is not finite and positive, or a
     /// non-finite `ambient_k`; [`ThermalError::IllConditioned`] when
-    /// rounding leaves a pivot that is not positive and finite.
+    /// rounding leaves a pivot that is not positive and finite, or when a
+    /// probe solve with 1 W in every cell loses the energy balance: its
+    /// sink heat, `Σ g_sink·(T − T_amb)` over tier 0, is more than a
+    /// relative 1e-6 off the injected power.
     pub fn new(w: u16, h: u16, tiers: u16, cfg: &ThermalConfig) -> Result<Self, ThermalError> {
         if w == 0 || h == 0 || tiers == 0 {
             return Err(ThermalError::EmptyGrid);
@@ -412,7 +428,28 @@ impl ThermalSolver {
                 };
             }
         }
+        // The residual check of `solve` cannot see a factor that rounding
+        // has ruined (a huge diagonal scales the Jacobi update away), but
+        // the energy balance of a probe solve, 1 W in every cell, can.
+        let mut probe = PowerMap::new(w, h, tiers)?;
+        probe.power.fill(1.0);
+        let imbalance = s.energy_imbalance(&probe);
+        if imbalance.is_nan() || imbalance > MAX_ENERGY_IMBALANCE {
+            return Err(ThermalError::IllConditioned);
+        }
         Ok(s)
+    }
+
+    /// The relative energy imbalance of the steady state under `power`:
+    /// how far the heat leaving through the sink, `Σ g_sink·(T − T_amb)`
+    /// over tier 0, is from the injected power.
+    fn energy_imbalance(&self, power: &PowerMap) -> f64 {
+        let map = self.solve(power);
+        let sink_w: f64 = map.temps[..self.dims[0] * self.dims[1]]
+            .iter()
+            .map(|t| self.cfg.g_sink * (t - self.cfg.ambient_k))
+            .sum();
+        (sink_w / power.total_w() - 1.0).abs()
     }
 
     /// Half-bandwidth of the factor.
@@ -924,6 +961,34 @@ mod tests {
             ThermalSolver::new(5, 5, 4, &cfg).unwrap_err(),
             ThermalError::IllConditioned
         );
+    }
+
+    #[test]
+    fn a_factor_that_loses_the_energy_balance_is_a_typed_error() {
+        // Every pivot of these factors is positive and finite, but at
+        // 1e300 every cell reads ambient and no heat leaves the sink,
+        // while the Jacobi residual stays far under the tolerance.
+        for g in [1e12, 1e300] {
+            let cfg = ThermalConfig {
+                g_vertical: g,
+                ..ThermalConfig::m3d()
+            };
+            assert_eq!(
+                ThermalSolver::new(5, 5, 4, &cfg).unwrap_err(),
+                ThermalError::IllConditioned,
+                "g_vertical = {g}"
+            );
+        }
+        // The ablation's sweep and both stacks keep their balance.
+        for g in [0.3, 0.6, 1.0, 2.0, 4.0] {
+            let cfg = ThermalConfig {
+                g_vertical: g,
+                ..ThermalConfig::m3d()
+            };
+            let solver = ThermalSolver::new(5, 5, 4, &cfg).unwrap();
+            let imbalance = solver.energy_imbalance(&gradient_power(5, 5, 4));
+            assert!(imbalance < 1e-12, "g_vertical = {g}: {imbalance:e}");
+        }
     }
 
     #[test]
