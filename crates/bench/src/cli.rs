@@ -9,7 +9,6 @@
 //!     [--threads N] [--seed N] [--set key=value]...
 //!     [--arch <name>]... [--workload <WLn>]... [--dataflow <WS|OS|IS|FL|searched>]...
 //!     [--strategy sfc|greedy]
-//! pim-bench perf [--quick] [--out <path>] [--max-seconds N] [--gate <baseline.json>]
 //! ```
 //!
 //! `run` builds one declarative [`Scenario`] from the flags, resolves it
@@ -33,14 +32,6 @@ USAGE:
     pim-bench list                      list every registered experiment
     pim-bench describe <name>           show one experiment and its default scenario
     pim-bench run <name>... | all       run experiments (shared platforms)
-    pim-bench perf                      time every experiment, write BENCH JSON
-
-PERF OPTIONS:
-    --quick                   CI scenario: WL1 only (full Table II otherwise)
-    --out <path>              where to write the JSON (default: BENCH_18.json)
-    --max-seconds <N>         fail (exit 1) if the optimized run-all exceeds N s
-    --gate <baseline.json>    fail (exit 1) on >25% regression in the
-                              fig3/dataflows/mapping_search cells vs the committed baseline
 
 RUN OPTIONS:
     --format table|json|csv   output format (default: table)
@@ -65,8 +56,7 @@ EXAMPLES:
     pim-bench run table1 fig3 --format json --out results.json
     pim-bench run all --format json        # every experiment, one JSON array
     pim-bench run fig5 --set sim_sampling=32 --set batch=4 --threads 1
-    pim-bench run poisson --strategy greedy
-    pim-bench perf --quick --max-seconds 300 --gate BENCH_13_quick.json";
+    pim-bench run poisson --strategy greedy";
 
 /// A CLI failure, split by exit code.
 #[derive(Debug)]
@@ -77,14 +67,12 @@ pub enum CliError {
     Run(ScenarioError),
     /// `--out` file could not be written (exit 1).
     Io(String),
-    /// `pim-bench perf --max-seconds` ceiling exceeded (exit 1).
-    Perf(String),
 }
 
 impl fmt::Display for CliError {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
         match self {
-            CliError::Usage(m) | CliError::Io(m) | CliError::Perf(m) => f.write_str(m),
+            CliError::Usage(m) | CliError::Io(m) => f.write_str(m),
             CliError::Run(e) => write!(f, "{e}"),
         }
     }
@@ -111,19 +99,6 @@ pub enum Command {
         /// Optional output file.
         out: Option<String>,
     },
-    /// `pim-bench perf [--quick] [--out <path>] [--max-seconds N]
-    /// [--gate <baseline.json>]`
-    Perf {
-        /// Use the reduced CI scenario (WL1 only).
-        quick: bool,
-        /// Where to write the JSON report.
-        out: String,
-        /// Optional hard ceiling on the optimized run-all wall time.
-        max_seconds: Option<f64>,
-        /// Committed `BENCH_*.json` to gate the fig3/dataflows/
-        /// mapping_search cells against (>25% regression fails).
-        gate: Option<String>,
-    },
     /// `pim-bench help` / `--help`
     Help,
 }
@@ -146,39 +121,6 @@ pub fn parse(args: &[String]) -> Result<Command, CliError> {
                 .get(1)
                 .ok_or_else(|| usage("describe: missing experiment name".into()))?;
             Ok(Command::Describe(name.clone()))
-        }
-        "perf" => {
-            let mut quick = false;
-            let mut out = "BENCH_18.json".to_string();
-            let mut max_seconds = None;
-            let mut gate = None;
-            let mut it = args[1..].iter();
-            while let Some(arg) = it.next() {
-                let mut value_of = |flag: &str| {
-                    it.next()
-                        .cloned()
-                        .ok_or_else(|| usage(format!("{flag}: missing value")))
-                };
-                match arg.as_str() {
-                    "--quick" => quick = true,
-                    "--out" => out = value_of("--out")?,
-                    "--max-seconds" => {
-                        let v = value_of("--max-seconds")?;
-                        max_seconds =
-                            Some(v.parse::<f64>().map_err(|_| {
-                                usage(format!("--max-seconds: invalid number `{v}`"))
-                            })?);
-                    }
-                    "--gate" => gate = Some(value_of("--gate")?),
-                    flag => return Err(usage(format!("perf: unknown flag `{flag}`"))),
-                }
-            }
-            Ok(Command::Perf {
-                quick,
-                out,
-                max_seconds,
-                gate,
-            })
         }
         "run" => {
             let mut names: Vec<String> = Vec::new();
@@ -299,34 +241,6 @@ pub fn execute(cmd: &Command) -> Result<String, CliError> {
                 resolved.threads,
                 serde_json::to_string_pretty(&Scenario::new(spec.name)).expect("serializable"),
             ))
-        }
-        Command::Perf {
-            quick,
-            out,
-            max_seconds,
-            gate,
-        } => {
-            let report = crate::perf::run(*quick).map_err(CliError::Run)?;
-            std::fs::write(out, report.to_json())
-                .map_err(|e| CliError::Io(format!("--out {out}: {e}")))?;
-            let mut text = format!("{}wrote perf report to {out}\n", report.summary());
-            if let Some(baseline_path) = gate {
-                let baseline = std::fs::read_to_string(baseline_path)
-                    .map_err(|e| CliError::Io(format!("--gate {baseline_path}: {e}")))?;
-                match report.gate_against(&baseline) {
-                    Ok(summary) => text.push_str(&summary),
-                    Err(failure) => return Err(CliError::Perf(format!("{failure}\n{text}"))),
-                }
-            }
-            if let Some(max) = *max_seconds {
-                let took = report.run_all.optimized_ms / 1e3;
-                if took > max {
-                    return Err(CliError::Perf(format!(
-                        "perf: optimized run-all took {took:.1} s, over the {max:.1} s ceiling\n{text}"
-                    )));
-                }
-            }
-            Ok(text)
         }
         Command::Run {
             names,
@@ -474,6 +388,7 @@ mod tests {
             (vec!["run", "fig3", "--set", "batch4"], "key=value"),
             (vec!["run", "fig3", "--bogus"], "--bogus"),
             (vec!["frobnicate"], "frobnicate"),
+            (vec!["perf", "--quick"], "unknown command `perf`"),
             (vec!["run", "fig3", "--arch", "torus"], "torus"),
             (vec!["run", "poisson", "--strategy", "fast"], "fast"),
         ] {

@@ -1,7 +1,6 @@
 //! The presentation crate for the reproduction: the unified `pim-bench`
-//! CLI ([`cli`]) over `pim_core`'s experiment registry, the structured
-//! output renderers ([`output`]), the `pim-bench perf` harness
-//! ([`perf`]), and the criterion benches.
+//! CLI ([`cli`]) over `pim_core`'s experiment registry and the structured
+//! output renderers ([`output`]).
 //!
 //! Every paper artifact (Tables I-II, Figs. 2-7, the ablations) is a
 //! registry entry, reached through one binary: `pim-bench list |
@@ -19,6 +18,5 @@
 
 pub mod cli;
 pub mod output;
-pub mod perf;
 
 pub use output::ratio;

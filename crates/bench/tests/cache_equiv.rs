@@ -13,6 +13,13 @@
 //! * every experiment of `run all --format json` matches its FNV-1a
 //!   digest in `tests/golden/run_all.digests.txt`, so all registry
 //!   entries are pinned, not only the ones with full-text goldens;
+//! * at one worker thread, the work the cache saves in `run all` is
+//!   pinned exactly: each experiment's `PIM_BENCH_CACHE_STATS=1` counters
+//!   (report hits and misses, DES component runs and hits, packets
+//!   simulated, link-free components) match
+//!   `tests/golden/run_all.counters.txt`. Unlike a timed ratio they do
+//!   not depend on the machine, so a cache that stops replaying fails
+//!   here even though every output byte stays the same;
 //! * the `pareto` front keeps its hypervolume inside the band the
 //!   NSGA-II seed spread spans and still reaches the SFC anchor — a
 //!   check that survives float noise which reshuffles the front's rows
@@ -99,6 +106,34 @@ fn run_all_experiments_match_their_digests() {
         &digests,
         "run_all.digests.txt",
         "an experiment of `pim-bench run all --format json`",
+        "cache_equiv",
+    );
+}
+
+#[test]
+fn run_all_cache_counters_match_their_golden() {
+    let out = run_cli_env(
+        &["run", "all", "--threads", "1", "--format", "json"],
+        &[("PIM_BENCH_CACHE_STATS", "1")],
+    );
+    // One line per experiment: its note without the config fingerprint,
+    // or `-` for one that ran before any 2.5D engine was built.
+    let counters: String = top_level_elements(&out)
+        .into_iter()
+        .map(|e| {
+            let note = e.split_once("eval cache: ").map(|(_, note)| {
+                let (counters, _) = note
+                    .split_once(" (config fingerprint")
+                    .expect("fingerprint suffix");
+                counters
+            });
+            format!("{} {}\n", experiment_name(e), note.unwrap_or("-"))
+        })
+        .collect();
+    assert_matches_golden(
+        &counters,
+        "run_all.counters.txt",
+        "the cache counters of `PIM_BENCH_CACHE_STATS=1 pim-bench run all --threads 1`",
         "cache_equiv",
     );
 }

@@ -7,7 +7,8 @@
 //! of fields over their budget, non-physical thermal or power values,
 //! valid configs too small for a 3D experiment's model, and a vertical
 //! conductance too large for the thermal solve to keep its energy
-//! balance in f64. A `tiers`
+//! balance in f64, and a fault process whose mean event gap is under a
+//! microsecond must exit 1 with a typed fault-spec error. A `tiers`
 //! override shapes the 3D stack only and leaves 2.5D tables unchanged.
 
 use std::process::{Command, Stdio};
@@ -87,10 +88,13 @@ fn oversized_inputs_exit_promptly_with_a_config_error() {
     // must reject the first kinds before any platform is built; the last
     // kinds are valid config, so the experiment returns a typed error. A
     // `g_vertical` of 1e300 once printed 300.0 K in every cell with exit 0.
+    // A fault process with a sub-microsecond mean gap once filled the
+    // fault plan with one window per event (an abort, or 9 s).
     const CELL: [&str; 6] = ["run", "fig3", "--workload", "WL1", "--arch", "Kite"];
     const UNFIT: &str = "model does not fit the system: insufficient capacity";
     const ILL: &str = "invalid thermal model: thermal conductances too far apart to solve in f64";
-    let probes: [(&[&str], &[&str], &str); 16] = [
+    const FAULTS: &str = "invalid fault spec";
+    let probes: [(&[&str], &[&str], &str); 19] = [
         (&CELL, &["batch=4294967295"], "`batch` must be <= 1024"),
         (&CELL, &["batch=1000000"], "`batch` must be <= 1024"),
         (
@@ -131,6 +135,21 @@ fn oversized_inputs_exit_promptly_with_a_config_error() {
             &["width=2", "height=2"],
             UNFIT,
         ),
+        (
+            &["run", "resilience"],
+            &["faults.link_rate_per_ms=1e6"],
+            FAULTS,
+        ),
+        (
+            &["run", "resilience"],
+            &["faults.chip_mtbf_ms=1e-9", "faults.chip_mttr_ms=1e-9"],
+            FAULTS,
+        ),
+        (
+            &["run", "resilience"],
+            &["faults.throttle_period_ms=5e-6"],
+            FAULTS,
+        ),
     ];
     for (run, sets, expected) in probes {
         let mut cmd = Command::new(env!("CARGO_BIN_EXE_pim-bench"));
@@ -154,7 +173,7 @@ fn oversized_inputs_exit_promptly_with_a_config_error() {
         let out = child.wait_with_output().expect("pim-bench exits");
         let stderr = String::from_utf8_lossy(&out.stderr);
         assert_eq!(out.status.code(), Some(1), "`--set {sets:?}`: {stderr}");
-        let config_error = expected != UNFIT && expected != ILL;
+        let config_error = ![UNFIT, ILL, FAULTS].contains(&expected);
         assert!(
             stderr.contains(expected) && (!config_error || stderr.contains("invalid config")),
             "`{run:?} --set {sets:?}`: {stderr}"

@@ -137,7 +137,10 @@ impl FaultSpec {
         s
     }
 
-    /// Checks the spec for structural validity.
+    /// Checks the spec for structural validity, and that every enabled
+    /// fault process has a mean event gap of at least
+    /// [`MIN_FAULT_GAP_MS`]: [`FaultPlan::generate`] emits one window per
+    /// event over the whole horizon.
     ///
     /// # Errors
     ///
@@ -165,6 +168,27 @@ impl FaultSpec {
                 field: "link_duration_us",
                 value: self.link_duration_us,
             });
+        }
+        for (enabled, field, gap_ms) in [
+            (
+                self.chip_mtbf_ms > 0.0,
+                "chip_mtbf_ms + chip_mttr_ms",
+                self.chip_mtbf_ms + self.chip_mttr_ms,
+            ),
+            (
+                self.link_rate_per_ms > 0.0,
+                "1 / link_rate_per_ms",
+                1.0 / self.link_rate_per_ms,
+            ),
+            (
+                self.throttle_period_ms > 0.0 && self.throttle_duty > 0.0,
+                "throttle_period_ms",
+                self.throttle_period_ms,
+            ),
+        ] {
+            if enabled && gap_ms < MIN_FAULT_GAP_MS {
+                return Err(FaultError::GapTooShort { field, gap_ms });
+            }
         }
         if !(0.0..1.0).contains(&self.throttle_duty) {
             return Err(FaultError::FractionField {
@@ -242,6 +266,12 @@ impl FaultSpec {
     }
 }
 
+/// The shortest mean event gap, milliseconds (1 µs), that
+/// [`FaultSpec::validate`] accepts for a chip, link or throttle process.
+/// The default spec's gaps (48 ms, 4 ms, 20 ms) sit far above it, at any
+/// fault scale the resilience experiment sweeps.
+pub const MIN_FAULT_GAP_MS: f64 = 1e-3;
+
 /// Why a [`FaultSpec`] (or a `faults.*` override) was rejected.
 #[derive(Clone, Debug, PartialEq)]
 pub enum FaultError {
@@ -285,6 +315,14 @@ pub enum FaultError {
     },
     /// `throttle_slowdown` must be at least 1.
     SlowdownBelowOne(f64),
+    /// An enabled fault process's mean event gap is below
+    /// [`MIN_FAULT_GAP_MS`].
+    GapTooShort {
+        /// The field, or expression of fields, that sets the gap.
+        field: &'static str,
+        /// The mean gap it gives, milliseconds.
+        gap_ms: f64,
+    },
 }
 
 impl fmt::Display for FaultError {
@@ -312,6 +350,11 @@ impl fmt::Display for FaultError {
             FaultError::SlowdownBelowOne(v) => {
                 write!(f, "throttle_slowdown must be at least 1, got {v}")
             }
+            FaultError::GapTooShort { field, gap_ms } => write!(
+                f,
+                "{field} must be at least {MIN_FAULT_GAP_MS} ms (the mean gap between \
+                 fault events), got {gap_ms} ms"
+            ),
         }
     }
 }
@@ -694,6 +737,34 @@ mod tests {
         let s = FaultSpec {
             chip_mtbf_ms: 0.0,
             chip_mttr_ms: 0.0,
+            ..FaultSpec::default()
+        };
+        assert_eq!(s.validate(), Ok(()));
+        // Each enabled process needs a mean event gap of at least 1 µs.
+        assert!(matches!(
+            bad(|s| s.link_rate_per_ms = 1e6),
+            FaultError::GapTooShort {
+                field: "1 / link_rate_per_ms",
+                ..
+            }
+        ));
+        assert!(matches!(
+            bad(|s| (s.chip_mtbf_ms, s.chip_mttr_ms) = (1e-9, 1e-9)),
+            FaultError::GapTooShort {
+                field: "chip_mtbf_ms + chip_mttr_ms",
+                ..
+            }
+        ));
+        assert!(matches!(
+            bad(|s| s.throttle_period_ms = 5e-6),
+            FaultError::GapTooShort {
+                field: "throttle_period_ms",
+                ..
+            }
+        ));
+        let s = FaultSpec {
+            link_rate_per_ms: 1e3,
+            throttle_period_ms: MIN_FAULT_GAP_MS,
             ..FaultSpec::default()
         };
         assert_eq!(s.validate(), Ok(()));

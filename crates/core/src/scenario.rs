@@ -763,8 +763,8 @@ impl ExperimentRegistry {
         out.description = spec.description.to_string();
         // Surface this experiment's evaluation-cache traffic when asked.
         // Opt-in (PIM_BENCH_CACHE_STATS=1) so default renderings — and
-        // the byte-pinned goldens — are unchanged; `pim-bench perf`
-        // reads the counters directly instead.
+        // the byte-pinned goldens — are unchanged; `run_all.counters.txt`
+        // pins these notes of `run all --threads 1`.
         if crate::envknobs::flag("PIM_BENCH_CACHE_STATS") {
             if let Some(stats) = ctx.cache_stats() {
                 let delta = stats.since(before);
@@ -818,9 +818,8 @@ impl RunContext {
     }
 
     /// [`RunContext::new`] with the evaluation cache explicitly forced on
-    /// or off, overriding `PIM_BENCH_NO_CACHE` — the `pim-bench perf`
-    /// harness measures the cached and uncached paths of the same
-    /// process this way.
+    /// or off, overriding `PIM_BENCH_NO_CACHE`, so a caller that must
+    /// take the cached path does not depend on the environment.
     pub fn new_with_cache(scenario: ResolvedScenario, cache_enabled: bool) -> Self {
         RunContext {
             scenario,

@@ -1199,6 +1199,45 @@ mod tests {
         assert!(four > base);
     }
 
+    #[test]
+    fn one_chip_without_batching_is_an_md1_queue() {
+        // One Poisson tenant on one chip, batches of one launched on
+        // arrival: an M/D/1 queue with service D and utilization ρ = λD.
+        // Its mean sojourn time is D·(1 + ρ/(2(1−ρ))) (Pollaczek–Khinchine)
+        // and the chip is busy a fraction ρ of the time. Past ρ ≈ 0.7 the
+        // 100 s sample mean wanders by several percent.
+        const D_NS: u64 = 1_000_000;
+        let s = ServingSpec {
+            fleet: 1,
+            horizon_ms: 100_000.0,
+            batch_window_us: 0.0,
+            max_batch: 1,
+            queue_depth: 1 << 20,
+            loads: vec![0.3, 0.5, 0.7],
+            tenants: vec![TenantSpec {
+                model: "M1".to_string(),
+                rate_rps: 1e9 / D_NS as f64, // load multiplier = ρ
+                process: ArrivalProcess::Poisson,
+            }],
+            ..spec()
+        };
+        for lp in simulate_serving(&s, &[D_NS], 0x5E41, 1).per_load {
+            let rho = lp.load;
+            assert_eq!(lp.rejected, 0, "ρ = {rho}");
+            let mean_ns = lp.latencies_ns.iter().sum::<u64>() as f64 / lp.latencies_ns.len() as f64;
+            let pk_ns = D_NS as f64 * (1.0 + rho / (2.0 * (1.0 - rho)));
+            assert!(
+                (mean_ns / pk_ns - 1.0).abs() < 0.03,
+                "ρ = {rho}: mean latency {mean_ns:.0} ns, Pollaczek–Khinchine {pk_ns:.0} ns"
+            );
+            let util = lp.chip_util[0].iter().sum::<f64>() / lp.chip_util[0].len() as f64;
+            assert!(
+                (util / rho - 1.0).abs() < 0.02,
+                "ρ = {rho}: chip utilization {util:.4}"
+            );
+        }
+    }
+
     // -- the per-chip reference -------------------------------------------
 
     // The healthy per-chip loop the fleet loop replaced, kept as the

@@ -438,8 +438,8 @@ impl SweepRunner {
     }
 
     /// Forces the cache on or off (the programmatic form of
-    /// `PIM_BENCH_NO_CACHE`, used by `pim-bench perf` to measure the
-    /// uncached baseline in the same process).
+    /// `PIM_BENCH_NO_CACHE`): the equivalence tests compare a bypassed
+    /// engine's reports with a cached one's.
     #[must_use]
     pub fn with_cache_enabled(mut self, enabled: bool) -> Self {
         self.cache.enabled = enabled;

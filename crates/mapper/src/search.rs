@@ -44,8 +44,8 @@ impl Default for SearchOptions {
     }
 }
 
-/// Result of [`search_model`]: the winning mapping plus search-effort
-/// counters (what `pim-bench perf` reports as mappings/sec).
+/// Result of [`search_model`]: the winning mapping plus a search-effort
+/// counter (candidates costed, the same on every run).
 #[derive(Clone, Debug, PartialEq)]
 pub struct SearchOutcome {
     /// The searched per-segment mapping.

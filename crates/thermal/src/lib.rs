@@ -15,9 +15,8 @@
 //! with the largest grid dimension outermost) and solves each power map
 //! by two banded substitutions; [`solve`] and [`solve_checked`] build
 //! one for a single map. The seed's sequential Gauss-Seidel is kept
-//! verbatim as a reference oracle ([`solve_reference`]) for tests, the
-//! criterion benches and the solver micro-benchmark of
-//! `pim-bench perf`; nothing in the pipeline calls it.
+//! verbatim as a reference oracle ([`solve_reference`]) for tests and
+//! the `solve_timing` example; nothing in the pipeline calls it.
 //!
 //! Every solve reports [`ThermalMap::residual_k`] and a
 //! [`ThermalMap::converged`] flag. For the exact solve the residual is an
@@ -570,8 +569,8 @@ pub fn solve_checked(power: &PowerMap, cfg: &ThermalConfig) -> Result<ThermalMap
 /// The seed's sequential Gauss-Seidel solver, kept verbatim as the
 /// reference oracle: lexicographic sweeps, stencil conductances
 /// recomputed in every cell visit, no over-relaxation. Tests assert the
-/// exact solve against it; `bench_thermal` and the `pim-bench perf`
-/// solver micro-benchmark measure the speedup over it.
+/// exact solve against it; the `solve_timing` example times the exact
+/// solve against it.
 pub fn solve_reference(power: &PowerMap, cfg: &ThermalConfig) -> ThermalMap {
     let (w, h, tiers) = power.dims();
     let (wi, hi, ti) = (w as usize, h as usize, tiers as usize);
