@@ -1,11 +1,11 @@
 //! The four 2.5D NoI architectures compared in Section II.
 
 use mapper::GreedyConfig;
-use serde::{Deserialize, Serialize};
+use serde::Serialize;
 use topology::{FloretLayout, SwapConfig, Topology, TopologyError};
 
 /// NoI architecture selector for [`crate::Platform25D`].
-#[derive(Clone, Debug, PartialEq, Serialize, Deserialize)]
+#[derive(Clone, Debug, PartialEq, Serialize)]
 #[non_exhaustive]
 pub enum NoiArch {
     /// Floret SFC NoI with `lambda` petals; dataflow-aware SFC mapping.

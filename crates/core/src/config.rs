@@ -5,7 +5,7 @@
 use std::fmt;
 
 use pim::PimConfig;
-use serde::{Deserialize, Serialize};
+use serde::Serialize;
 use thermal::ThermalConfig;
 use topology::HwParams;
 
@@ -107,7 +107,7 @@ const MAX_TRAFFIC_PER_SAMPLING: u64 = 16;
 const MAX_NODES: u64 = 4096;
 
 /// Full configuration of a PIM-enabled manycore system.
-#[derive(Clone, Debug, PartialEq, Serialize, Deserialize)]
+#[derive(Clone, Debug, PartialEq, Serialize)]
 pub struct SystemConfig {
     /// Chiplet/PE grid width (at most 32).
     pub width: u16,

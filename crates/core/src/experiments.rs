@@ -18,7 +18,7 @@ use netsim::{
     simulate_with_table, LinkFaults, RouteTable, SimConfig, SimScratch, TrafficPattern,
 };
 use opt::{NsgaConfig, SaConfig};
-use serde::{Deserialize, Serialize};
+use serde::Serialize;
 use thermal::ThermalConfig;
 use topology::{kite, kite_with_skips, NodeId};
 
@@ -36,7 +36,7 @@ use crate::serving::{simulate_resilient_serving, simulate_serving, ResiliencePar
 use crate::sweep::{parallel_map, SweepRunner};
 
 /// Table I row: paper's printed parameter count next to ours.
-#[derive(Clone, Debug, PartialEq, Serialize, Deserialize)]
+#[derive(Clone, Debug, PartialEq, Serialize)]
 pub struct Table1Row {
     /// Workload id (`M1`..`M13`).
     pub id: String,
@@ -68,7 +68,7 @@ pub fn table1_rows() -> Vec<Table1Row> {
 }
 
 /// Table II row.
-#[derive(Clone, Debug, PartialEq, Serialize, Deserialize)]
+#[derive(Clone, Debug, PartialEq, Serialize)]
 pub struct Table2Row {
     /// Mix name (`WL1`..`WL5`).
     pub name: String,
@@ -97,7 +97,7 @@ pub fn table2_rows() -> Vec<Table2Row> {
 }
 
 /// Cost-comparison row.
-#[derive(Clone, Debug, PartialEq, Serialize, Deserialize)]
+#[derive(Clone, Debug, PartialEq, Serialize)]
 pub struct CostRow {
     /// Architecture name.
     pub arch: String,
@@ -137,7 +137,7 @@ pub fn cost_rows(runner: &SweepRunner) -> Vec<CostRow> {
 
 /// Fig. 6 row: one DNN on the 100-PE 3D system, Floret-enabled
 /// (performance-only) vs joint performance-thermal optimized NoC.
-#[derive(Clone, Debug, PartialEq, Serialize, Deserialize)]
+#[derive(Clone, Debug, PartialEq, Serialize)]
 pub struct Fig6Row {
     /// Workload id (Table I).
     pub id: String,
@@ -207,7 +207,7 @@ pub fn fig6_rows(
 
 /// Fig. 7 output: bottom-tier temperature maps for both mappings plus
 /// their peaks.
-#[derive(Clone, Debug, PartialEq, Serialize, Deserialize)]
+#[derive(Clone, Debug, PartialEq, Serialize)]
 pub struct Fig7Maps {
     /// Bottom-tier temperatures under the Floret (performance-only) NoC.
     pub floret_bottom_tier: Vec<Vec<f64>>,
@@ -270,7 +270,7 @@ pub fn transformer_rows() -> Vec<(String, Vec<StorageRow>)> {
 }
 
 /// Section II activation analysis: ResNet-34 linear-vs-skip traffic.
-#[derive(Clone, Debug, PartialEq, Serialize, Deserialize)]
+#[derive(Clone, Debug, PartialEq, Serialize)]
 pub struct ActivationRow {
     /// Model name.
     pub model: String,
@@ -1022,8 +1022,8 @@ fn run_mapping_search(ctx: &RunContext) -> Result<ExperimentOutput, ScenarioErro
          construction."
     ));
     out.notes.push(
-        "Resolution is a deterministic per-cell function (beam search + preset anchoring) \
-         and is memoized in the eval cache under the resolved-mapping fingerprint."
+        "Resolution is a deterministic per-cell function (beam search + preset anchoring), \
+         so the eval cache keys its report by the cell and the SRCH tag alone."
             .to_string(),
     );
     Ok(out)

@@ -18,11 +18,11 @@ use std::fmt;
 
 use rand::{RngExt, SeedableRng};
 use rand_chacha::ChaCha8Rng;
-use serde::{Deserialize, Serialize};
+use serde::Serialize;
 
 /// Bounded exponential backoff plus a per-request timeout for requests
 /// lost to a chip failure.
-#[derive(Clone, Debug, PartialEq, Serialize, Deserialize)]
+#[derive(Clone, Debug, PartialEq, Serialize)]
 pub struct RetryPolicy {
     /// Retry attempts after the initial dispatch; a request lost more
     /// than this many times is dropped (counted as timed out).
@@ -69,7 +69,7 @@ impl RetryPolicy {
 
 /// Statistical fault model of the fleet and its interconnect; expanded
 /// into a concrete timeline by [`FaultPlan::generate`].
-#[derive(Clone, Debug, PartialEq, Serialize, Deserialize)]
+#[derive(Clone, Debug, PartialEq, Serialize)]
 pub struct FaultSpec {
     /// Mean time between failures per chip, milliseconds; `0` disables
     /// chip faults entirely.
@@ -362,7 +362,7 @@ impl fmt::Display for FaultError {
 impl std::error::Error for FaultError {}
 
 /// One chip outage: the chip is down in `[down_ns, up_ns)`.
-#[derive(Copy, Clone, Debug, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Copy, Clone, Debug, PartialEq, Eq, Serialize)]
 pub struct ChipFault {
     /// Fleet chip index.
     pub chip: u32,
@@ -375,7 +375,7 @@ pub struct ChipFault {
 
 /// One transient NoI link blackout: the link drops header handshakes in
 /// `[start_ns, end_ns)`.
-#[derive(Copy, Clone, Debug, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Copy, Clone, Debug, PartialEq, Eq, Serialize)]
 pub struct LinkFaultWindow {
     /// Dense link id in the NoI topology.
     pub link: u32,
@@ -387,7 +387,7 @@ pub struct LinkFaultWindow {
 
 /// One thermal-throttle window: batches launched on `chip` inside
 /// `[start_ns, end_ns)` run `throttle_slowdown`× slower.
-#[derive(Copy, Clone, Debug, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Copy, Clone, Debug, PartialEq, Eq, Serialize)]
 pub struct ThrottleWindow {
     /// Fleet chip index.
     pub chip: u32,
@@ -400,7 +400,7 @@ pub struct ThrottleWindow {
 /// A concrete, fully ordered fault timeline expanded from a
 /// [`FaultSpec`] — the single source of truth every layer (serving,
 /// DES, mapping) replays.
-#[derive(Clone, Debug, PartialEq, Default, Serialize, Deserialize)]
+#[derive(Clone, Debug, PartialEq, Default, Serialize)]
 pub struct FaultPlan {
     /// Chip outages, ascending by `(down_ns, chip)`; per-chip outages
     /// never overlap.
@@ -442,7 +442,8 @@ impl FaultPlan {
     /// once, single-threaded. Chip failures are an MTBF/MTTR renewal
     /// process; link blackouts arrive Poisson across the fabric and pick
     /// a victim link per event; throttle windows are periodic with a
-    /// per-chip phase stagger.
+    /// per-chip phase stagger. Instants saturate at `u64::MAX` ns, so an
+    /// outage, blackout or window that would end past it never ends.
     pub fn generate(
         spec: &FaultSpec,
         fleet: usize,
@@ -464,7 +465,7 @@ impl FaultPlan {
                 while t < horizon {
                     let down_ns = t as u64;
                     let repair = sample_exp(&mut rng, mttr_ns).max(1.0);
-                    let up_ns = down_ns + repair as u64 + 1;
+                    let up_ns = down_ns.saturating_add(repair as u64).saturating_add(1);
                     plan.chip_faults.push(ChipFault {
                         chip: topology::narrow::u32_idx(chip),
                         down_ns,
@@ -487,7 +488,7 @@ impl FaultPlan {
                 plan.link_faults.push(LinkFaultWindow {
                     link,
                     start_ns,
-                    end_ns: start_ns + dur_ns,
+                    end_ns: start_ns.saturating_add(dur_ns),
                 });
                 t += sample_exp(&mut rng, mean_gap_ns);
             }
@@ -501,15 +502,15 @@ impl FaultPlan {
                 for chip in 0..fleet {
                     // Phase-stagger chips so the fleet never throttles in
                     // lockstep (deterministic, no randomness needed).
-                    let phase = period_ns * chip as u64 / fleet.max(1) as u64;
+                    let phase = (period_ns as u128 * chip as u128 / fleet as u128) as u64;
                     let mut start = phase;
                     while start < horizon_ns {
                         plan.throttles.push(ThrottleWindow {
                             chip: topology::narrow::u32_idx(chip),
                             start_ns: start,
-                            end_ns: start + width_ns,
+                            end_ns: start.saturating_add(width_ns),
                         });
-                        start += period_ns;
+                        start = start.saturating_add(period_ns);
                     }
                 }
                 plan.throttles.sort_by_key(|w| (w.start_ns, w.chip));

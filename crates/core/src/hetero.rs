@@ -17,11 +17,11 @@
 
 use dnn::BertConfig;
 use pim::PimConfig;
-use serde::{Deserialize, Serialize};
+use serde::Serialize;
 use topology::HwParams;
 
 /// Configuration of the heterogeneous transformer platform study.
-#[derive(Clone, Debug, PartialEq, Serialize, Deserialize)]
+#[derive(Clone, Debug, PartialEq, Serialize)]
 pub struct HeteroConfig {
     /// The transformer under study.
     pub bert: BertConfig,
@@ -58,7 +58,7 @@ impl Default for HeteroConfig {
 }
 
 /// Which platform organization is evaluated.
-#[derive(Copy, Clone, PartialEq, Eq, Debug, Serialize, Deserialize)]
+#[derive(Copy, Clone, PartialEq, Eq, Debug, Serialize)]
 pub enum TransformerPlatform {
     /// Everything on ReRAM crossbars (including attention intermediates).
     AllPim,
@@ -80,7 +80,7 @@ impl std::fmt::Display for TransformerPlatform {
 }
 
 /// Evaluation of one platform organization on one transformer inference.
-#[derive(Clone, Debug, PartialEq, Serialize, Deserialize)]
+#[derive(Clone, Debug, PartialEq, Serialize)]
 pub struct TransformerEval {
     /// Platform organization.
     pub platform: TransformerPlatform,

@@ -58,7 +58,7 @@ pub use config::{ConfigError, SystemConfig, SystemConfigBuilder};
 pub use faults::{
     ChipFault, FaultError, FaultPlan, FaultSpec, LinkFaultWindow, RetryPolicy, ThrottleWindow,
 };
-pub use platform25::{Platform25D, SearchedResolution, WorkloadReport};
+pub use platform25::{Platform25D, WorkloadReport};
 pub use platform3d::{ParetoPoint, PlacementEval, Platform3D};
 pub use scenario::{
     CellValue, Column, ColumnType, ExperimentOutput, ExperimentRegistry, ExperimentSpec, Histogram,
@@ -70,7 +70,5 @@ pub use serving::{
     ResilienceParams, ResiliencePointOutcome, ServingError, ServingOutcome, ServingSpec,
     TenantSpec, UTIL_SLICES,
 };
-pub use sweep::{
-    default_threads, parallel_map, CacheStats, EvalCache, SweepRunner, CACHE_MIN_TASKS,
-};
+pub use sweep::{default_threads, parallel_map, CacheStats, EvalCache, SweepRunner};
 pub use topology::envknobs;

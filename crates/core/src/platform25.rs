@@ -2,7 +2,6 @@
 //! network simulation, evaluated on concurrent-DNN workloads (Section II).
 
 use std::collections::BTreeMap;
-use std::sync::Arc;
 
 use dnn::{build_model, Dataflow, ModelMapping, SegmentGraph, Workload};
 use mapper::{
@@ -14,7 +13,7 @@ use netsim::{
     analyze_with_table, link_free_totals, sample_flows_into, simulate_with_scratch,
     split_components_into, DesTotals, Flow, RouteTable, SimConfig, SimScratch,
 };
-use serde::{Deserialize, Serialize};
+use serde::Serialize;
 use topology::{FloretLayout, Topology, TopologyError, TopologySummary};
 
 use crate::arch::NoiArch;
@@ -49,7 +48,7 @@ pub struct Platform25D {
 /// Aggregate result of executing one Table II workload mix under the
 /// dynamic-churn service model (tasks arrive as a queue, the oldest
 /// resident completes when space is needed).
-#[derive(Clone, Debug, PartialEq, Serialize, Deserialize)]
+#[derive(Clone, Debug, PartialEq, Serialize)]
 pub struct WorkloadReport {
     /// Architecture name.
     pub arch: String,
@@ -98,43 +97,9 @@ pub struct WorkloadReport {
     pub compute_latency_ns: f64,
 }
 
-/// The per-task loop-nest mappings that [`Dataflow::Searched`] resolved
-/// to on one (architecture, workload) cell, plus a stable fingerprint
-/// over them. The `pim_core::sweep::EvalCache` memoizes this so repeated
-/// cells replay the resolved mappings instead of re-running the search.
-#[derive(Clone, Debug)]
-pub struct SearchedResolution {
-    /// One resolved mapping per workload task, aligned with
-    /// [`Platform25D::task_graphs`].
-    pub mappings: Arc<Vec<ModelMapping>>,
-    /// FNV-1a fingerprint chained over the per-task mapping
-    /// fingerprints — distinct resolved mappings get distinct cache keys
-    /// even under the same `"SRCH"` tag.
-    pub fingerprint: u64,
-}
-
-impl SearchedResolution {
-    /// Wraps per-task mappings (aligned with [`Platform25D::task_graphs`])
-    /// and fingerprints them.
-    pub fn new(mappings: Vec<ModelMapping>) -> Self {
-        // Same FNV-1a constants as `dnn::mapping`, chained per task.
-        let mut h = 0xcbf2_9ce4_8422_2325u64;
-        for m in &mappings {
-            for b in m.fingerprint().to_le_bytes() {
-                h ^= u64::from(b);
-                h = h.wrapping_mul(0x1_0000_01b3);
-            }
-        }
-        SearchedResolution {
-            mappings: Arc::new(mappings),
-            fingerprint: h,
-        }
-    }
-}
-
 /// How a churned placement is costed: a fixed hand dataflow mode, or
 /// per-task resolved loop-nest mappings (the `searched` pseudo-mode).
-pub(crate) enum CostModel<'a> {
+enum CostModel<'a> {
     Mode(Dataflow),
     Mapped(&'a [ModelMapping]),
 }
@@ -419,8 +384,7 @@ impl Platform25D {
     /// for `wl` on this platform.
     ///
     /// [`Dataflow::Searched`] is resolved here: the mapping search picks
-    /// per-task loop nests and the report carries the `"SRCH"` tag (see
-    /// [`Platform25D::resolve_searched`]).
+    /// per-task loop nests and the report carries the `"SRCH"` tag.
     ///
     /// This scratch-free form and [`Platform25D::cost_churn_outcome_scratch`]
     /// are the one such pair left: `perfbench/src/compose.rs` checks its
@@ -438,8 +402,28 @@ impl Platform25D {
         self.cost_churn_outcome_scratch(wl, graphs, outcome, dataflow, &mut SweepScratch::new())
     }
 
-    /// [`Platform25D::cost_churn_outcome`] against caller-owned scratch.
+    /// [`Platform25D::cost_churn_outcome`] against caller-owned scratch:
+    /// the DES-free stage, then the snapshot DES over the flows it left
+    /// in `scratch`.
     pub fn cost_churn_outcome_scratch(
+        &self,
+        wl: &Workload,
+        graphs: &[SegmentGraph],
+        outcome: &ChurnOutcome,
+        dataflow: Dataflow,
+        scratch: &mut SweepScratch,
+    ) -> WorkloadReport {
+        let mut rep = self.report_without_des(wl, graphs, outcome, dataflow, scratch);
+        self.simulate_snapshots(outcome, scratch, &mut rep, None);
+        rep
+    }
+
+    /// The DES-free stage of a report under `dataflow` (see
+    /// [`Platform25D::cost_without_des`]); [`Dataflow::Searched`] is
+    /// resolved by [`Platform25D::resolve_searched`]. The DES fields stay
+    /// zero, and `scratch` holds the costed mapping's flows for
+    /// [`Platform25D::simulate_snapshots`].
+    pub(crate) fn report_without_des(
         &self,
         wl: &Workload,
         graphs: &[SegmentGraph],
@@ -449,13 +433,14 @@ impl Platform25D {
     ) -> WorkloadReport {
         match dataflow {
             Dataflow::Searched => self.resolve_searched(wl, graphs, outcome, scratch).1,
-            df => self.report_from_outcome(wl, graphs, outcome, &CostModel::Mode(df), scratch),
+            df => self.cost_without_des(wl, graphs, outcome, &CostModel::Mode(df), scratch),
         }
     }
 
     /// Resolves [`Dataflow::Searched`] on one (architecture, workload)
-    /// cell and costs it, returning both the winning per-task mappings
-    /// and their report.
+    /// cell: returns the winning per-task mappings (aligned with
+    /// [`Platform25D::task_graphs`]) and their DES-free report, and
+    /// leaves the winner's flows in `scratch`.
     ///
     /// Candidates are the deterministic beam search result
     /// ([`mapper::search_model`], compute-optimal per task) plus the four
@@ -466,33 +451,15 @@ impl Platform25D {
     /// the snapshot DES, so the cell pays one DES pass, not five. The
     /// winner minimizes whole-report energy×delay; the searched candidate
     /// wins ties, so `searched` never loses to any hand mode by
-    /// construction. The returned report is bit-identical to costing the
-    /// winner alone with [`Platform25D::cost_searched_resolution`].
-    /// Resolution is a pure function of (config, architecture, workload)
-    /// — no RNG, no thread-count dependence.
-    pub fn resolve_searched(
+    /// construction. Resolution is a pure function of (config,
+    /// architecture, workload) — no RNG, no thread-count dependence.
+    fn resolve_searched(
         &self,
         wl: &Workload,
         graphs: &[SegmentGraph],
         outcome: &ChurnOutcome,
         scratch: &mut SweepScratch,
-    ) -> (SearchedResolution, WorkloadReport) {
-        let (res, mut rep) = self.resolve_searched_without_des(wl, graphs, outcome, scratch);
-        self.simulate_snapshots(outcome, scratch, &mut rep, None);
-        (res, rep)
-    }
-
-    /// The DES-free stage of [`Platform25D::resolve_searched`]:
-    /// ranks the candidates and returns the winner with its report, whose
-    /// DES fields are still zero, and the winner's flows in `scratch`
-    /// for [`Platform25D::simulate_snapshots`].
-    pub(crate) fn resolve_searched_without_des(
-        &self,
-        wl: &Workload,
-        graphs: &[SegmentGraph],
-        outcome: &ChurnOutcome,
-        scratch: &mut SweepScratch,
-    ) -> (SearchedResolution, WorkloadReport) {
+    ) -> (Vec<ModelMapping>, WorkloadReport) {
         let mut candidates: Vec<Vec<ModelMapping>> = Vec::with_capacity(5);
         candidates.push(self.searched_task_mappings(graphs));
         for df in Dataflow::all() {
@@ -500,8 +467,7 @@ impl Platform25D {
         }
         let mut best: Option<(usize, WorkloadReport, f64)> = None;
         for (i, maps) in candidates.iter().enumerate() {
-            let rep =
-                self.report_without_des(wl, graphs, outcome, &CostModel::Mapped(maps), scratch);
+            let rep = self.cost_without_des(wl, graphs, outcome, &CostModel::Mapped(maps), scratch);
             let edp = self.report_edp(&rep);
             // Strict `<`: the searched candidate comes first and keeps
             // ties, making the resolution deterministic.
@@ -517,27 +483,7 @@ impl Platform25D {
         if win != last {
             self.expand_task_flows(graphs, outcome, &CostModel::Mapped(&maps), scratch);
         }
-        (SearchedResolution::new(maps), rep)
-    }
-
-    /// Re-costs a previously resolved [`Dataflow::Searched`] cell without
-    /// redoing the search — the cache-replay half of
-    /// [`Platform25D::resolve_searched`].
-    pub fn cost_searched_resolution(
-        &self,
-        wl: &Workload,
-        graphs: &[SegmentGraph],
-        outcome: &ChurnOutcome,
-        resolution: &SearchedResolution,
-        scratch: &mut SweepScratch,
-    ) -> WorkloadReport {
-        self.report_from_outcome(
-            wl,
-            graphs,
-            outcome,
-            &CostModel::Mapped(&resolution.mappings),
-            scratch,
-        )
+        (maps, rep)
     }
 
     /// The ranking metric of the mapping search at the report level:
@@ -546,8 +492,8 @@ impl Platform25D {
     /// quantity the resolver minimized.
     ///
     /// Reads no DES field (`sim_latency_cycles`,
-    /// `mean_packet_latency_cycles`): [`Platform25D::resolve_searched`]
-    /// ranks its candidates before any of them is simulated.
+    /// `mean_packet_latency_cycles`): the `searched` resolver ranks its
+    /// candidates before any of them is simulated.
     pub fn report_edp(&self, r: &WorkloadReport) -> f64 {
         let energy_pj = r.noi_energy_pj + r.compute_energy_pj;
         let time_ns =
@@ -569,22 +515,6 @@ impl Platform25D {
                     .clone()
             })
             .collect()
-    }
-
-    /// Costs one churned placement under one cost model: the DES-free
-    /// stage ([`Platform25D::report_without_des`]), then the snapshot DES
-    /// over the flows it left in `scratch`.
-    fn report_from_outcome(
-        &self,
-        wl: &Workload,
-        graphs: &[SegmentGraph],
-        outcome: &ChurnOutcome,
-        model: &CostModel<'_>,
-        scratch: &mut SweepScratch,
-    ) -> WorkloadReport {
-        let mut rep = self.report_without_des(wl, graphs, outcome, model, scratch);
-        self.simulate_snapshots(outcome, scratch, &mut rep, None);
-        rep
     }
 
     /// Expands every placed task's transfers under `model` into
@@ -653,11 +583,12 @@ impl Platform25D {
         }
     }
 
-    /// The DES-free stage of a report: transfer expansion (left in
-    /// `scratch` for [`Platform25D::simulate_snapshots`]), per-task
-    /// analytical NoI, static, programming and compute costs — every
-    /// field [`Platform25D::report_edp`] reads. The DES fields stay zero.
-    pub(crate) fn report_without_des(
+    /// The DES-free stage of a report under one cost model: transfer
+    /// expansion (left in `scratch` for
+    /// [`Platform25D::simulate_snapshots`]), per-task analytical NoI,
+    /// static, programming and compute costs — every field
+    /// [`Platform25D::report_edp`] reads. The DES fields stay zero.
+    fn cost_without_des(
         &self,
         wl: &Workload,
         graphs: &[SegmentGraph],
@@ -986,19 +917,86 @@ mod tests {
                 p.report_edp(hand)
             );
         }
-        // Resolution is a pure function of the cell: a fresh run (and the
-        // cache-replay path) reproduce the same report bit-for-bit.
+        // Resolution is a pure function of the cell: a fresh run
+        // reproduces the same report bit-for-bit.
         let again = p.run_workload_with(&wl, Dataflow::Searched);
         assert_eq!(srch, again);
-        let graphs = Platform25D::task_graphs(&wl);
-        let outcome = p.churn_outcome_from_graphs(&graphs);
-        let mut scratch = SweepScratch::new();
-        let (res, rep) = p.resolve_searched(&wl, &graphs, &outcome, &mut scratch);
-        assert_eq!(rep, srch);
-        assert_eq!(
-            p.cost_searched_resolution(&wl, &graphs, &outcome, &res, &mut scratch),
-            srch
-        );
+    }
+
+    /// The `searched` resolver rebuilt the slow way: every candidate
+    /// costed through the full pipeline, DES included, and the
+    /// `report_edp` argmin taken with the searched candidate keeping
+    /// ties. Returns the winner's index (0 = searched, then the presets
+    /// in [`Dataflow::all`] order), its mappings and its report.
+    fn reference_resolve(
+        p: &Platform25D,
+        wl: &Workload,
+        graphs: &[SegmentGraph],
+        outcome: &ChurnOutcome,
+    ) -> (usize, Vec<ModelMapping>, WorkloadReport) {
+        let mut candidates: Vec<Vec<ModelMapping>> = vec![graphs
+            .iter()
+            .map(|g| search_model(g, &p.cfg.pim, &SearchOptions::default()).mapping)
+            .collect()];
+        for df in Dataflow::all() {
+            candidates.push(graphs.iter().map(|g| ModelMapping::preset(df, g)).collect());
+        }
+        let mut best: Option<(usize, Vec<ModelMapping>, WorkloadReport, f64)> = None;
+        for (i, maps) in candidates.into_iter().enumerate() {
+            let mut scratch = SweepScratch::new();
+            let model = CostModel::Mapped(&maps);
+            let mut rep = p.cost_without_des(wl, graphs, outcome, &model, &mut scratch);
+            p.simulate_snapshots(outcome, &mut scratch, &mut rep, None);
+            let edp = p.report_edp(&rep);
+            if best.as_ref().is_none_or(|(.., b)| edp < *b) {
+                best = Some((i, maps, rep, edp));
+            }
+        }
+        let (i, maps, rep, _) = best.expect("five candidates costed");
+        (i, maps, rep)
+    }
+
+    #[test]
+    fn searched_resolver_matches_the_full_pipeline_reference() {
+        // The resolver ranks its five candidates on the DES-free stage and
+        // simulates the winner only; it must pick the reference's mappings
+        // and reproduce its whole report, DES fields included, on fresh
+        // and on dirty scratch. On WL1 the searched candidate wins, so the
+        // DES replays the flows of the first candidate costed; on WL2 the
+        // OS preset wins, which is not the last candidate costed, so the
+        // resolver must re-expand its flows before the DES.
+        let cfg = SystemConfig::datacenter_25d();
+        for (wl_name, winner) in [("WL1", 0), ("WL2", 2)] {
+            let wl = dnn::table2_workload(wl_name).unwrap();
+            let other = dnn::table2_workload(if wl_name == "WL1" { "WL2" } else { "WL1" }).unwrap();
+            let graphs = Platform25D::task_graphs(&wl);
+            for arch in [NoiArch::Floret { lambda: 6 }, NoiArch::Kite] {
+                let p = Platform25D::new(arch, &cfg).unwrap();
+                let outcome = p.churn_outcome_from_graphs(&graphs);
+                let (win, ref_maps, ref_rep) = reference_resolve(&p, &wl, &graphs, &outcome);
+                let cell = format!("{wl_name} x {}", p.arch_name());
+                assert_eq!(win, winner, "{cell}: winning candidate");
+                assert!(ref_rep.sim_latency_cycles > 0 && ref_rep.mean_packet_latency_cycles > 0.0);
+
+                // Dirty scratch: another workload's searched cell and a
+                // hand mode ran on it first.
+                let mut dirty = SweepScratch::new();
+                p.run_workload_dataflows(
+                    &other,
+                    &[Dataflow::Searched, Dataflow::FusedLayer],
+                    &mut dirty,
+                );
+                for (state, mut scratch) in [("fresh", SweepScratch::new()), ("dirty", dirty)] {
+                    let (maps, mut rep) = p.resolve_searched(&wl, &graphs, &outcome, &mut scratch);
+                    p.simulate_snapshots(&outcome, &mut scratch, &mut rep, None);
+                    assert!(
+                        maps == ref_maps,
+                        "{cell}, {state} scratch: resolved mappings"
+                    );
+                    assert_eq!(rep, ref_rep, "{cell}, {state} scratch: report");
+                }
+            }
+        }
     }
 
     #[test]
@@ -1047,7 +1045,6 @@ mod tests {
         // it: every link-free component's closed form must equal its DES
         // run.
         let cfg = SystemConfig::datacenter_25d();
-        let mode = CostModel::Mode(Dataflow::WeightStationary);
         let mut scratch = SweepScratch::new();
         let (mut link_free, mut contended) = (0, 0);
         for arch in NoiArch::all() {
@@ -1055,7 +1052,8 @@ mod tests {
             for wl in dnn::table2() {
                 let graphs = Platform25D::task_graphs(&wl);
                 let outcome = p.churn_outcome_from_graphs(&graphs);
-                p.report_without_des(&wl, &graphs, &outcome, &mode, &mut scratch);
+                let ws = Dataflow::WeightStationary;
+                p.report_without_des(&wl, &graphs, &outcome, ws, &mut scratch);
                 p.for_each_split_snapshot(&outcome, &mut scratch, |s| {
                     let mut start = 0;
                     for &(end, free) in &s.component_ends {

@@ -9,7 +9,7 @@ use opt::{simulated_annealing, Problem, SaConfig};
 use pim::{segment_cost, ThermalNoiseModel};
 use rand::RngExt;
 use rand_chacha::ChaCha8Rng;
-use serde::{Deserialize, Serialize};
+use serde::Serialize;
 use thermal::{PowerMap, ThermalMap, ThermalSolver};
 use topology::{FloretLayout, NodeId, Topology};
 
@@ -30,7 +30,7 @@ pub struct Platform3D {
 }
 
 /// Evaluation of one layer-to-PE placement.
-#[derive(Clone, Debug, PartialEq, Serialize, Deserialize)]
+#[derive(Clone, Debug, PartialEq, Serialize)]
 pub struct PlacementEval {
     /// Communication makespan (analytical), cycles.
     pub comm_cycles: u64,
@@ -251,7 +251,7 @@ impl Platform3D {
 }
 
 /// One point of the EDP-vs-temperature Pareto front.
-#[derive(Clone, Debug, PartialEq, Serialize, Deserialize)]
+#[derive(Clone, Debug, PartialEq, Serialize)]
 pub struct ParetoPoint {
     /// Normalized EDP (1.0 = the SFC order's EDP).
     pub edp_norm: f64,

@@ -42,7 +42,7 @@ use std::fmt;
 
 use dnn::{Dataflow, Workload};
 use mapper::{MapError, StrategyKind};
-use serde::{Deserialize, Serialize};
+use serde::Serialize;
 use thermal::ThermalError;
 use topology::TopologyError;
 
@@ -61,7 +61,7 @@ use crate::sweep::{default_threads, CacheStats, SweepRunner};
 /// [`SystemConfig::builder`] to **both** base configs (2.5D and 3D), so
 /// a degenerate spec fails fast with a typed [`ConfigError`]; `tiers`
 /// alone reaches only the 3D config, since 2.5D systems are single-tier.
-#[derive(Clone, Debug, PartialEq, Serialize, Deserialize)]
+#[derive(Clone, Debug, PartialEq, Serialize)]
 pub struct Scenario {
     /// Registry name of the experiment (`"table1"`, `"fig3"`, ... or
     /// `"all"` at the CLI layer).
@@ -329,7 +329,7 @@ impl From<ThermalError> for ScenarioError {
 }
 
 /// One cell of an experiment table.
-#[derive(Clone, Debug, PartialEq, Serialize, Deserialize)]
+#[derive(Clone, Debug, PartialEq, Serialize)]
 pub enum CellValue {
     /// A label (workload, architecture, model, ...).
     Str(String),
@@ -396,7 +396,7 @@ impl CellValue {
 }
 
 /// The type (and table-rendering hint) of one experiment column.
-#[derive(Clone, Debug, PartialEq, Serialize, Deserialize)]
+#[derive(Clone, Debug, PartialEq, Serialize)]
 pub enum ColumnType {
     /// Label column, left-aligned.
     Str,
@@ -420,7 +420,7 @@ pub enum ColumnType {
 }
 
 /// One column of an experiment table: name plus [`ColumnType`].
-#[derive(Clone, Debug, PartialEq, Serialize, Deserialize)]
+#[derive(Clone, Debug, PartialEq, Serialize)]
 pub struct Column {
     /// Header label.
     pub name: String,
@@ -500,7 +500,7 @@ impl Column {
 
 /// One titled table of an [`ExperimentOutput`]: a typed column schema
 /// plus rows of [`CellValue`]s.
-#[derive(Clone, Debug, PartialEq, Serialize, Deserialize)]
+#[derive(Clone, Debug, PartialEq, Serialize)]
 pub struct Table {
     /// Section title (what the old binaries printed as `=== ... ===`).
     pub title: String,
@@ -568,7 +568,7 @@ impl Table {
 /// A titled distribution section of an [`ExperimentOutput`]: fixed bin
 /// edges plus counts. All three `pim_bench::output` formats render it —
 /// ASCII bars in tables, structured arrays in JSON, bin rows in CSV.
-#[derive(Clone, Debug, PartialEq, Serialize, Deserialize)]
+#[derive(Clone, Debug, PartialEq, Serialize)]
 pub struct Histogram {
     /// Section title.
     pub title: String,
@@ -640,7 +640,7 @@ impl Histogram {
 /// old binaries printed after their tables). Rendering to
 /// table/JSON/CSV lives in `pim_bench::output`; this type is
 /// format-free.
-#[derive(Clone, Debug, PartialEq, Serialize, Deserialize)]
+#[derive(Clone, Debug, PartialEq, Serialize)]
 pub struct ExperimentOutput {
     /// Registry name of the experiment that produced this.
     pub experiment: String,

@@ -30,7 +30,7 @@ use std::fmt;
 
 use mapper::{sample_arrivals, ArrivalConfig, ArrivalProcess};
 use netsim::CalendarQueue;
-use serde::{Deserialize, Serialize};
+use serde::Serialize;
 
 use crate::faults::{FaultPlan, FaultSpec, RetryPolicy};
 use crate::sweep::parallel_map;
@@ -38,7 +38,7 @@ use crate::sweep::parallel_map;
 /// Typed serving-scenario block of a [`crate::Scenario`]: arrival mix,
 /// horizon, SLO target, fleet size and batching window as structured
 /// data instead of ad-hoc `--set` strings.
-#[derive(Clone, Debug, PartialEq, Serialize, Deserialize)]
+#[derive(Clone, Debug, PartialEq, Serialize)]
 pub struct ServingSpec {
     /// Chips in the fleet behind the load balancer (≥ 1).
     pub fleet: usize,
@@ -65,7 +65,7 @@ pub struct ServingSpec {
 
 /// One tenant of a [`ServingSpec`]: a Table I model plus its arrival
 /// process.
-#[derive(Clone, Debug, PartialEq, Serialize, Deserialize)]
+#[derive(Clone, Debug, PartialEq, Serialize)]
 pub struct TenantSpec {
     /// Table I workload id of the served model (`"M1"` .. `"M13"`).
     pub model: String,
@@ -604,17 +604,15 @@ impl FleetSim<'_> {
         st.batched_requests += st.in_flight.len() as u64;
         // Accrue the busy interval [start, start + dur) into the horizon
         // slices (clipped; drain past the horizon is not utilization).
-        let (mut t, end) = (
-            start.min(self.horizon_ns),
-            (start + dur).min(self.horizon_ns),
-        );
+        let done = start.saturating_add(dur);
+        let (mut t, end) = (start.min(self.horizon_ns), done.min(self.horizon_ns));
         while t < end {
             let slice = (t / self.slice_ns) as usize;
             let slice_end = ((slice as u64 + 1) * self.slice_ns).min(end);
             st.busy_ns[slice.min(UTIL_SLICES - 1)] += slice_end - t;
             t = slice_end;
         }
-        events.push(start + dur, fleet_key(FTAG_COMPLETION, chip, st.comp_gen));
+        events.push(done, fleet_key(FTAG_COMPLETION, chip, st.comp_gen));
     }
 
     /// Admits request `idx` to `target`'s queue, launching a batch once
@@ -635,7 +633,7 @@ impl FleetSim<'_> {
                 st.window_gen += 1;
                 st.armed = Some(st.window_gen);
                 events.push(
-                    now + self.window_ns,
+                    now.saturating_add(self.window_ns),
                     fleet_key(FTAG_WINDOW, target, st.window_gen),
                 );
             }
@@ -654,16 +652,19 @@ impl FleetSim<'_> {
 
     /// Request `idx` was lost (its chip failed, or no chip could take
     /// it): schedule a bounded-backoff retry, or drop it as timed out
-    /// when retries or the deadline are exhausted.
+    /// when retries or the deadline are exhausted. Instants past
+    /// `u64::MAX` ns saturate, so a deadline that far out never passes.
     fn retry_or_timeout(&mut self, events: &mut CalendarQueue, idx: u64, now: u64) {
         let attempts = &mut self.attempts[idx as usize];
         *attempts += 1;
-        let deadline = self.requests[idx as usize].arrival_ns + self.params.retry.timeout_ns();
+        let deadline = self.requests[idx as usize]
+            .arrival_ns
+            .saturating_add(self.params.retry.timeout_ns());
         if *attempts > self.params.retry.max_retries {
             self.timed_out += 1;
             return;
         }
-        let at = now + self.params.retry.backoff_ns(*attempts);
+        let at = now.saturating_add(self.params.retry.backoff_ns(*attempts));
         if at > deadline {
             self.timed_out += 1;
             return;
@@ -1669,6 +1670,59 @@ mod tests {
         p.shed_fraction = 0.75;
         let out = simulate_resilient_serving(&s, &p, &service(), 5, 1);
         assert!(out.per_load[0].shed > 0, "no shed rejections in overload");
+    }
+
+    /// Fault times past `u64::MAX` ns saturate instead of wrapping. Each
+    /// override below once overflowed the plan or the fleet loop (a
+    /// panic in a debug build, wrapped instants in a release one). On a
+    /// five-chip fleet, so the throttle phase stagger multiplies the
+    /// period by chip indices above one, every window must end after it
+    /// starts, the loop must conserve requests, and the retry path must
+    /// follow the saturated deadline and backoff.
+    #[test]
+    fn fault_times_past_u64_nanoseconds_saturate() {
+        let probes: [&[(&str, &str)]; 7] = [
+            &[("link_duration_us", "1e300")],
+            &[("chip_mttr_ms", "1e300")],
+            &[("timeout_ms", "1e300")],
+            &[("backoff_base_us", "1e300"), ("backoff_cap_us", "1e300")],
+            // Both saturate: retries land at `u64::MAX` and open a
+            // batching window there.
+            &[
+                ("timeout_ms", "1e300"),
+                ("backoff_base_us", "1e300"),
+                ("backoff_cap_us", "1e300"),
+            ],
+            &[("throttle_period_ms", "1e300"), ("throttle_duty", "0.9")],
+            &[("throttle_slowdown", "1e300")],
+        ];
+        let mut s = spec();
+        s.fleet = 5;
+        let horizon_ns = (s.horizon_ms * 1e6).round() as u64;
+        for probe in probes {
+            let mut fspec = FaultSpec::default().scaled(2.0);
+            for &(key, value) in probe {
+                fspec.set(key, value).unwrap();
+            }
+            fspec.validate().unwrap();
+            let plan = FaultPlan::generate(&fspec, s.fleet, 64, horizon_ns, 0xFA17);
+            assert!(!plan.chip_faults.is_empty(), "{probe:?}");
+            assert!(plan.chip_faults.iter().all(|f| f.up_ns > f.down_ns));
+            assert!(plan.link_faults.iter().all(|w| w.end_ns > w.start_ns));
+            assert!(plan.throttles.iter().all(|w| w.end_ns > w.start_ns));
+            let p = ResilienceParams::from_spec(&fspec, plan, 50_000);
+            let out = simulate_resilient_serving(&s, &p, &service(), 11, 1);
+            let retries: u64 = out.per_load.iter().map(|lp| lp.retries).sum();
+            let timed_out: u64 = out.per_load.iter().map(|lp| lp.timed_out).sum();
+            match probe[0].0 {
+                // No deadline: lost requests retry until their attempts
+                // run out.
+                "timeout_ms" => assert!(retries > 0, "{probe:?}"),
+                // No retry fits before a finite deadline.
+                "backoff_base_us" => assert!(retries == 0 && timed_out > 0, "{probe:?}"),
+                _ => {}
+            }
+        }
     }
 
     /// FNV-1a over the little-endian bytes of `values`.

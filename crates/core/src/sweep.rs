@@ -21,10 +21,10 @@
 //! both run the full (mix × architecture) sweep, and the dataflow figure
 //! re-maps the same cells before costing each mode. The [`EvalCache`]
 //! owned by every `SweepRunner` memoizes finished [`WorkloadReport`]s
-//! (keyed by config fingerprint × architecture × workload × dataflow ×
-//! resolved-mapping fingerprint), the dataflow-independent churn
-//! mappings behind them, and what the `searched` pseudo-mode resolved
-//! each cell to ([`SearchedResolution`]), so a shared
+//! (keyed by architecture × workload × dataflow tag, under the runner's
+//! config fingerprint; `searched` is a tag like any other, because its
+//! resolution is a pure function of the cell) and the
+//! dataflow-independent churn mappings behind them, so a shared
 //! runner — `pim-bench run all` holds one per [`crate::RunContext`] —
 //! does each evaluation exactly once. Below the report level it also
 //! memoizes the snapshot DES by channel-disjoint component (keyed by
@@ -49,7 +49,7 @@ use topology::{TopologyError, TopologySummary};
 
 use crate::arch::NoiArch;
 use crate::config::SystemConfig;
-use crate::platform25::{CostModel, Platform25D, SearchedResolution, WorkloadReport};
+use crate::platform25::{Platform25D, WorkloadReport};
 use crate::scratch::{ScratchPool, SweepScratch};
 
 /// Default worker count: one per available hardware thread.
@@ -150,8 +150,8 @@ struct ChurnEntry {
     outcome: ChurnOutcome,
 }
 
-/// Report-cache key: (arch, workload fp, dataflow tag, resolved mapping fp).
-type ReportKey = (&'static str, u64, &'static str, u64);
+/// Report-cache key: (arch, workload fp, dataflow tag).
+type ReportKey = (&'static str, u64, &'static str);
 
 /// Component-memo key: (arch, FNV-1a of the component's flow list).
 type ComponentKey = (&'static str, u64);
@@ -164,7 +164,7 @@ type ComponentEntry = (Box<[Flow]>, DesTotals);
 /// fingerprint so entries can never leak across differently-configured
 /// engines.
 ///
-/// Determinism audit: all four maps are touched **only** through keyed
+/// Determinism audit: all three maps are touched **only** through keyed
 /// `get`/`insert` under their mutexes — nothing ever iterates them, so
 /// their unspecified ordering cannot reach output (the `unordered-iter`
 /// pim-lint rule keeps it that way). Only [`CacheStats`] counters, which
@@ -174,17 +174,12 @@ type ComponentEntry = (Box<[Flow]>, DesTotals);
 pub struct EvalCache {
     fingerprint: u64,
     enabled: bool,
-    /// Finished reports keyed (arch, workload fp, dataflow tag, resolved
-    /// mapping fp). Hand modes key on fingerprint `0` — their mapping is
-    /// the tag; `"SRCH"` rows carry [`SearchedResolution::fingerprint`],
-    /// so two different resolved mappings under the same tag can never
-    /// replay each other's reports.
+    /// Finished reports keyed (arch, workload fp, dataflow tag). The
+    /// tag names the costing: a hand mode, or `"SRCH"`, whose resolved
+    /// mappings are a pure function of the config and the cell, so the
+    /// key fixes them too.
     reports: Mutex<HashMap<ReportKey, WorkloadReport>>,
     churn: Mutex<HashMap<(&'static str, u64), Arc<ChurnEntry>>>,
-    /// What [`dnn::Dataflow::Searched`] resolved to per (arch, workload
-    /// fp) cell — the mapping-search memo: later cells replay the
-    /// resolved mappings instead of re-running the search.
-    resolutions: Mutex<HashMap<(&'static str, u64), SearchedResolution>>,
     /// The snapshot-DES memo: the totals of one channel-disjoint
     /// component ([`netsim::split_components_into`]) keyed by
     /// architecture and the FNV-1a of its ordered flow list, stored with
@@ -259,7 +254,6 @@ impl EvalCache {
             enabled: !bypassed,
             reports: Mutex::new(HashMap::new()),
             churn: Mutex::new(HashMap::new()),
-            resolutions: Mutex::new(HashMap::new()),
             components: Mutex::new(HashMap::new()),
             hits: AtomicU64::new(0),
             misses: AtomicU64::new(0),
@@ -368,13 +362,6 @@ pub struct SweepRunner {
     scratch: ScratchPool,
 }
 
-/// Workloads below this task count bypass the [`EvalCache`] entirely:
-/// fingerprinting a workload formats its full `Debug` representation,
-/// which costs more than re-evaluating such tiny cells (the BENCH_7
-/// `table1`/`fig4`/`hetero` inversion). Every Table II mix is far above
-/// this, so the paper sweeps always cache.
-pub const CACHE_MIN_TASKS: usize = 4;
-
 impl SweepRunner {
     /// Builds all four [`NoiArch`] platforms once (in parallel) and
     /// defaults the worker count to [`default_threads`].
@@ -454,105 +441,47 @@ impl SweepRunner {
     fn eval_cell(&self, pi: usize, wl: &Workload, dataflows: &[Dataflow]) -> Vec<WorkloadReport> {
         let platform = &self.platforms[pi];
         let mut scratch = self.scratch.take();
-        // Tiny cells skip the cache: computing the workload fingerprint
-        // costs more than the evaluation it would memoize.
-        let out = if !self.cache.enabled || wl.task_count() < CACHE_MIN_TASKS {
-            platform.run_workload_dataflows(wl, dataflows, &mut scratch)
-        } else {
-            let arch = platform.arch_name();
+        let out = if self.cache.enabled {
             let wfp = workload_fingerprint(wl);
             let mut entry: Option<Arc<ChurnEntry>> = None;
             dataflows
                 .iter()
-                .map(|&df| self.eval_mode(platform, wl, arch, wfp, df, &mut entry, &mut scratch))
+                .map(|&df| self.eval_mode(platform, wl, wfp, df, &mut entry, &mut scratch))
                 .collect()
+        } else {
+            platform.run_workload_dataflows(wl, dataflows, &mut scratch)
         };
         self.scratch.put(scratch);
         out
     }
 
-    /// One (cell, dataflow) evaluation through the cache. `Searched`
-    /// first consults the resolution memo: a known resolution keys the
-    /// report lookup by its mapping fingerprint and, on a report miss,
-    /// replays the resolved mappings instead of re-running the search.
-    #[allow(clippy::too_many_arguments)]
+    /// One (cell, dataflow) evaluation through the cache: a report hit
+    /// replays; a miss costs the memoized churn mapping (the DES-free
+    /// stage, `searched` resolved inside it, then the snapshot DES
+    /// through the component memo) and stores the report.
     fn eval_mode(
         &self,
         platform: &Platform25D,
         wl: &Workload,
-        arch: &'static str,
         wfp: u64,
         df: Dataflow,
         entry: &mut Option<Arc<ChurnEntry>>,
         scratch: &mut SweepScratch,
     ) -> WorkloadReport {
-        let resolution = match df {
-            Dataflow::Searched => self
-                .cache
-                .resolutions
-                .lock()
-                .expect("cache lock")
-                .get(&(arch, wfp))
-                .cloned(),
-            _ => None,
-        };
-        // Hand modes key on mapping fingerprint 0 (the tag *is* the
-        // mapping); an unresolved `Searched` has no key yet and must
-        // miss.
-        let known_mfp = match df {
-            Dataflow::Searched => resolution.as_ref().map(|r| r.fingerprint),
-            _ => Some(0),
-        };
-        if let Some(mfp) = known_mfp {
-            if let Some(r) =
-                self.cache
-                    .reports
-                    .lock()
-                    .expect("cache lock")
-                    .get(&(arch, wfp, df.name(), mfp))
-            {
-                self.cache.hits.fetch_add(1, Ordering::Relaxed);
-                return r.clone();
-            }
+        let key = (platform.arch_name(), wfp, df.name());
+        if let Some(r) = self.cache.reports.lock().expect("cache lock").get(&key) {
+            self.cache.hits.fetch_add(1, Ordering::Relaxed);
+            return r.clone();
         }
         self.cache.misses.fetch_add(1, Ordering::Relaxed);
         let e = Arc::clone(entry.get_or_insert_with(|| self.cache.churn_entry(platform, wl, wfp)));
-        // The DES-free stage of the report, then the snapshot DES through
-        // the component memo.
-        let (graphs, outcome) = (&e.graphs, &e.outcome);
-        let (mfp, mut report) = match df {
-            Dataflow::Searched => match resolution {
-                Some(res) => {
-                    let model = CostModel::Mapped(&res.mappings);
-                    let rep = platform.report_without_des(wl, graphs, outcome, &model, scratch);
-                    (res.fingerprint, rep)
-                }
-                None => {
-                    let (res, rep) =
-                        platform.resolve_searched_without_des(wl, graphs, outcome, scratch);
-                    let fp = res.fingerprint;
-                    self.cache
-                        .resolutions
-                        .lock()
-                        .expect("cache lock")
-                        .insert((arch, wfp), res);
-                    (fp, rep)
-                }
-            },
-            df => {
-                let model = CostModel::Mode(df);
-                (
-                    0,
-                    platform.report_without_des(wl, graphs, outcome, &model, scratch),
-                )
-            }
-        };
-        platform.simulate_snapshots(outcome, scratch, &mut report, Some(&self.cache));
+        let mut report = platform.report_without_des(wl, &e.graphs, &e.outcome, df, scratch);
+        platform.simulate_snapshots(&e.outcome, scratch, &mut report, Some(&self.cache));
         self.cache
             .reports
             .lock()
             .expect("cache lock")
-            .insert((arch, wfp, df.name(), mfp), report.clone());
+            .insert(key, report.clone());
         report
     }
 
@@ -760,41 +689,6 @@ mod tests {
         assert_eq!(bypass.cache().stats(), CacheStats::default());
     }
 
-    #[test]
-    fn tiny_workloads_bypass_the_cache_entirely() {
-        // BENCH_7 showed the "optimized" table1/fig4/hetero cells slower
-        // than baseline: fingerprinting a workload costs more than
-        // evaluating it when the mix is a handful of tasks. Below
-        // CACHE_MIN_TASKS the cache must not even be consulted — zero
-        // hits, zero misses, no stored reports — and the result must
-        // equal both a cache-disabled run and a cached run of the same
-        // mix.
-        let cfg = SystemConfig::datacenter_25d();
-        let tiny = dnn::Workload {
-            name: "tiny".into(),
-            mix: vec![dnn::MixEntry {
-                count: topology::narrow::u32_idx(CACHE_MIN_TASKS - 1),
-                model_index: 0,
-            }],
-            paper_total_params_b: 0.0,
-        };
-        assert!(tiny.task_count() < CACHE_MIN_TASKS);
-        let runner = SweepRunner::new(&cfg).unwrap().with_cache_enabled(true);
-        let first = runner.run_workloads(std::slice::from_ref(&tiny));
-        let second = runner.run_workloads(std::slice::from_ref(&tiny));
-        assert_eq!(
-            runner.cache().stats(),
-            CacheStats::default(),
-            "tiny cells must never touch the cache"
-        );
-        assert_eq!(first, second);
-        let bypass = SweepRunner::new(&cfg)
-            .unwrap()
-            .with_cache_enabled(false)
-            .run_workloads(std::slice::from_ref(&tiny));
-        assert_eq!(first, bypass);
-    }
-
     /// The report-level `(hits, misses)` of a runner's cache.
     fn report_counts(runner: &SweepRunner) -> (u64, u64) {
         let s = runner.cache().stats();
@@ -907,51 +801,10 @@ mod tests {
     }
 
     #[test]
-    fn searched_report_keys_include_the_resolved_mapping_fingerprint() {
-        // Two different resolved mappings under the same "SRCH" tag must
-        // occupy distinct cache slots: a report cached for one mapping
-        // can never replay for the other.
-        let cfg = SystemConfig::datacenter_25d();
-        let runner = SweepRunner::new(&cfg).unwrap().with_cache_enabled(true);
-        let wl = dnn::table2_workload("WL1").unwrap();
-        let graphs = Platform25D::task_graphs(&wl);
-        let ws = SearchedResolution::new(
-            graphs
-                .iter()
-                .map(|g| dnn::ModelMapping::preset(Dataflow::WeightStationary, g))
-                .collect(),
-        );
-        let os = SearchedResolution::new(
-            graphs
-                .iter()
-                .map(|g| dnn::ModelMapping::preset(Dataflow::OutputStationary, g))
-                .collect(),
-        );
-        assert_ne!(ws.fingerprint, os.fingerprint);
-
-        let arch = runner.platforms()[0].arch_name();
-        let wfp = workload_fingerprint(&wl);
-        let tag = Dataflow::Searched.name();
-        let rep = runner.platforms()[0].run_workload(&wl);
-        runner
-            .cache()
-            .reports
-            .lock()
-            .unwrap()
-            .insert((arch, wfp, tag, ws.fingerprint), rep);
-        let cached = runner.cache().reports.lock().unwrap();
-        assert!(cached.contains_key(&(arch, wfp, tag, ws.fingerprint)));
-        assert!(
-            !cached.contains_key(&(arch, wfp, tag, os.fingerprint)),
-            "a different mapping under the same tag must miss"
-        );
-    }
-
-    #[test]
-    fn searched_cells_memoize_their_resolution_and_replay_identically() {
+    fn searched_cells_replay_identically_from_the_report_cache() {
         // One architecture keeps this cheap: the searched axis through
         // the cache must equal the bypassed path bit-for-bit, and the
-        // second pass must be pure replay (all hits, search memoized).
+        // second pass must be pure replay (all hits, SRCH included).
         let cfg = SystemConfig::datacenter_25d();
         let archs = [NoiArch::Floret { lambda: 6 }];
         let wl = dnn::table2_workload("WL3").unwrap();

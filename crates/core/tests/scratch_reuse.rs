@@ -64,28 +64,21 @@ fn dirty_scratch_matches_fresh_under_searched() {
     // not depend on scratch history.
     let p = platform(NoiArch::Floret { lambda: 6 });
     let wl = tiny_workload();
-
-    let (fresh_res, fresh_rep) = {
-        let mut scratch = SweepScratch::new();
-        let graphs = Platform25D::task_graphs(&wl);
-        let outcome = p.churn_outcome_from_graphs(&graphs);
-        p.resolve_searched(&wl, &graphs, &outcome, &mut scratch)
+    let graphs = Platform25D::task_graphs(&wl);
+    let outcome = p.churn_outcome_from_graphs(&graphs);
+    let searched = |scratch: &mut SweepScratch| {
+        p.cost_churn_outcome_scratch(&wl, &graphs, &outcome, Dataflow::Searched, scratch)
     };
+
+    let fresh = searched(&mut SweepScratch::new());
+    assert_eq!(fresh.dataflow, "SRCH");
 
     let mut scratch = SweepScratch::new();
     let wl3 = table2_workload("WL3").unwrap();
     p.run_workload_dataflows(&wl3, &[Dataflow::WeightStationary], &mut scratch);
-    let graphs = Platform25D::task_graphs(&wl);
-    let outcome = p.churn_outcome_from_graphs(&graphs);
-    let (dirty_res, dirty_rep) = p.resolve_searched(&wl, &graphs, &outcome, &mut scratch);
-
     assert_eq!(
-        dirty_res.fingerprint, fresh_res.fingerprint,
-        "searched must resolve to the same mapping on dirty scratch"
+        searched(&mut scratch),
+        fresh,
+        "searched must resolve to the same report on dirty scratch"
     );
-    assert_eq!(dirty_rep, fresh_rep);
-
-    // Costing a resolution through dirty scratch is also history-free.
-    let again = p.cost_searched_resolution(&wl, &graphs, &outcome, &fresh_res, &mut scratch);
-    assert_eq!(again, fresh_rep);
 }

@@ -26,10 +26,10 @@
 #![warn(missing_docs)]
 #![warn(missing_debug_implementations)]
 
-use serde::{Deserialize, Serialize};
+use serde::Serialize;
 
 /// Fabrication cost model parameters.
-#[derive(Clone, Debug, PartialEq, Serialize, Deserialize)]
+#[derive(Clone, Debug, PartialEq, Serialize)]
 pub struct CostModel {
     /// Wafer defect density `D0`, defects per mm².
     pub defect_density_per_mm2: f64,

@@ -65,7 +65,7 @@
 use std::fmt;
 use std::str::FromStr;
 
-use serde::{Deserialize, Serialize};
+use serde::Serialize;
 
 use crate::segment::SegmentGraph;
 
@@ -73,7 +73,7 @@ use crate::segment::SegmentGraph;
 ///
 /// See the [module documentation](self) for the movement accounting each
 /// mode implies.
-#[derive(Copy, Clone, PartialEq, Eq, Hash, PartialOrd, Ord, Debug, Serialize, Deserialize)]
+#[derive(Copy, Clone, PartialEq, Eq, Hash, PartialOrd, Ord, Debug, Serialize)]
 pub enum Dataflow {
     /// Weights resident in their crossbars; activations cross the NoI
     /// (the seed tiled scheme — PIM's native mode).
@@ -102,7 +102,7 @@ pub enum Dataflow {
 /// writes and weight-feed traffic of the bank peripherals; they combine
 /// into an energy multiplier through the fixed per-MAC energy split of
 /// [`BufferProfile::energy_factor`].
-#[derive(Copy, Clone, PartialEq, Debug, Serialize, Deserialize)]
+#[derive(Copy, Clone, PartialEq, Debug, Serialize)]
 pub struct BufferProfile {
     /// Input-activation buffer reads per MAC, relative to WS.
     pub input_reads_per_mac: f64,

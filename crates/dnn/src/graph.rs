@@ -3,14 +3,14 @@
 
 use std::fmt;
 
-use serde::{Deserialize, Serialize};
+use serde::Serialize;
 
 use crate::layer::{Layer, LayerId, LayerKind};
 use crate::shapes::{Dataset, TensorShape};
 
 /// How an edge connects two layers; used to split activation traffic into
 /// the linear/skip classes discussed in Section II of the paper.
-#[derive(Copy, Clone, PartialEq, Eq, Hash, Debug, Serialize, Deserialize)]
+#[derive(Copy, Clone, PartialEq, Eq, Hash, Debug, Serialize)]
 pub enum EdgeKind {
     /// Main-path edge: data flows from layer `l_i` to `l_(i+1)`.
     Sequential,
@@ -21,7 +21,7 @@ pub enum EdgeKind {
 }
 
 /// A directed activation edge between two layers.
-#[derive(Copy, Clone, PartialEq, Eq, Debug, Serialize, Deserialize)]
+#[derive(Copy, Clone, PartialEq, Eq, Debug, Serialize)]
 pub struct Edge {
     /// Producer layer.
     pub src: LayerId,
@@ -67,7 +67,7 @@ impl fmt::Display for GraphError {
 impl std::error::Error for GraphError {}
 
 /// Split of activation traffic volume by edge class, in elements.
-#[derive(Copy, Clone, PartialEq, Eq, Debug, Default, Serialize, Deserialize)]
+#[derive(Copy, Clone, PartialEq, Eq, Debug, Default, Serialize)]
 pub struct ActivationSplit {
     /// Volume over sequential (main-path) edges.
     pub sequential: u64,
@@ -97,7 +97,7 @@ impl ActivationSplit {
 ///
 /// Build with [`GraphBuilder`]; obtain ready-made networks from
 /// [`crate::build_model`].
-#[derive(Clone, PartialEq, Debug, Serialize, Deserialize)]
+#[derive(Clone, PartialEq, Debug, Serialize)]
 pub struct LayerGraph {
     name: String,
     dataset: Dataset,

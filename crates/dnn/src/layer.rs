@@ -2,13 +2,13 @@
 
 use std::fmt;
 
-use serde::{Deserialize, Serialize};
+use serde::Serialize;
 
 use crate::shapes::TensorShape;
 
 /// Identifier of a layer inside a [`crate::LayerGraph`]. Dense: ranges over
 /// `0..graph.layer_count()` in topological order.
-#[derive(Copy, Clone, PartialEq, Eq, Hash, PartialOrd, Ord, Serialize, Deserialize)]
+#[derive(Copy, Clone, PartialEq, Eq, Hash, PartialOrd, Ord, Serialize)]
 pub struct LayerId(pub u32);
 
 impl LayerId {
@@ -32,7 +32,7 @@ impl fmt::Display for LayerId {
 }
 
 /// The operator a layer performs.
-#[derive(Copy, Clone, PartialEq, Eq, Debug, Serialize, Deserialize)]
+#[derive(Copy, Clone, PartialEq, Eq, Debug, Serialize)]
 #[non_exhaustive]
 pub enum LayerKind {
     /// 2D convolution.
@@ -119,7 +119,7 @@ impl LayerKind {
 }
 
 /// One layer instance: operator, name and inferred output shape.
-#[derive(Clone, PartialEq, Eq, Debug, Serialize, Deserialize)]
+#[derive(Clone, PartialEq, Eq, Debug, Serialize)]
 pub struct Layer {
     /// Dense id (topological order).
     pub id: LayerId,

@@ -56,7 +56,7 @@
 
 use std::fmt;
 
-use serde::{Deserialize, Serialize};
+use serde::Serialize;
 
 use crate::dataflow::{
     BufferProfile, Dataflow, INPUT_READ_SHARE, MAC_ARRAY_SHARE, PSUM_WRITE_SHARE, WEIGHT_FEED_SHARE,
@@ -64,7 +64,7 @@ use crate::dataflow::{
 use crate::segment::{Segment, SegmentGraph};
 
 /// One of the three GEMM loops of a segment.
-#[derive(Copy, Clone, PartialEq, Eq, Hash, PartialOrd, Ord, Debug, Serialize, Deserialize)]
+#[derive(Copy, Clone, PartialEq, Eq, Hash, PartialOrd, Ord, Debug, Serialize)]
 pub enum Loop {
     /// Output channels / features (`weight_cols`).
     M,
@@ -90,7 +90,7 @@ impl fmt::Display for Loop {
 }
 
 /// A memory level of the platform, innermost first.
-#[derive(Copy, Clone, PartialEq, Eq, Hash, PartialOrd, Ord, Debug, Serialize, Deserialize)]
+#[derive(Copy, Clone, PartialEq, Eq, Hash, PartialOrd, Ord, Debug, Serialize)]
 pub enum MemLevel {
     /// ReRAM crossbar + its peripheral registers (the register tile).
     Crossbar,
@@ -116,7 +116,7 @@ impl MemLevel {
 ///
 /// The per-level factors multiply across levels to (at least) cover the
 /// segment's loop extents; the order lists loops outermost first.
-#[derive(Copy, Clone, PartialEq, Eq, Debug, Serialize, Deserialize)]
+#[derive(Copy, Clone, PartialEq, Eq, Debug, Serialize)]
 pub struct LevelTiling {
     /// Which level this tiling describes.
     pub level: MemLevel,
@@ -153,7 +153,7 @@ impl LevelTiling {
 
 /// How a mapping's outermost (NoI) level moves tensors between chiplets —
 /// the discrete policy [`crate::Dataflow`] used to select by enum match.
-#[derive(Copy, Clone, PartialEq, Eq, Hash, Debug, Serialize, Deserialize)]
+#[derive(Copy, Clone, PartialEq, Eq, Hash, Debug, Serialize)]
 pub enum NoiPolicy {
     /// Spatially-tiled activation shipping (the seed scheme; WS).
     Tiled,
@@ -171,7 +171,7 @@ pub enum NoiPolicy {
 /// Per-MAC energy contribution of each memory level, derived from the
 /// [`BufferProfile`] energy split. Summing the four contributions gives
 /// [`Mapping::energy_factor`] for derived mappings.
-#[derive(Copy, Clone, PartialEq, Debug, Serialize, Deserialize)]
+#[derive(Copy, Clone, PartialEq, Debug, Serialize)]
 pub struct LevelEnergy {
     /// The level.
     pub level: MemLevel,
@@ -182,7 +182,7 @@ pub struct LevelEnergy {
 }
 
 /// The GEMM loop extents of a segment: `O[M,N] = W[M,K] × I[K,N]`.
-#[derive(Copy, Clone, PartialEq, Eq, Debug, Serialize, Deserialize)]
+#[derive(Copy, Clone, PartialEq, Eq, Debug, Serialize)]
 pub struct LoopExtents {
     /// Output channels (`weight_cols`), at least 1.
     pub m: u64,
@@ -230,7 +230,7 @@ fn order_for_innermost(inner: Loop) -> [Loop; 3] {
 /// Construct via the four presets ([`Mapping::weight_stationary`] etc.,
 /// byte-identical to the legacy [`Dataflow`] enum factors) or
 /// [`Mapping::derived`] (the searchable space).
-#[derive(Clone, PartialEq, Debug, Serialize, Deserialize)]
+#[derive(Clone, PartialEq, Debug, Serialize)]
 pub struct Mapping {
     /// Per-level tilings, innermost ([`MemLevel::Crossbar`]) first.
     pub levels: [LevelTiling; 4],
@@ -243,7 +243,7 @@ pub struct Mapping {
 }
 
 /// How a mapping was constructed — preset tag or derived parameters.
-#[derive(Copy, Clone, PartialEq, Eq, Debug, Serialize, Deserialize)]
+#[derive(Copy, Clone, PartialEq, Eq, Debug, Serialize)]
 enum MappingLabel {
     Preset(Dataflow),
     Derived {
@@ -473,29 +473,6 @@ impl Mapping {
             }
         }
     }
-
-    /// Stable descriptor fingerprint: hashes the full loop nest, fused
-    /// flag and folded factor bits, so two mappings that would cost
-    /// anything differently can never collide in the `EvalCache`.
-    pub fn fingerprint(&self) -> u64 {
-        let mut h = Fnv1a::new();
-        for lt in &self.levels {
-            h.write_u64(lt.level as u64);
-            h.write_u64(lt.m);
-            h.write_u64(lt.k);
-            h.write_u64(lt.n);
-            for l in lt.order {
-                h.write_u64(l as u64);
-            }
-        }
-        h.write_u64(u64::from(self.fused));
-        h.write_u64(self.energy_factor.to_bits());
-        h.write_u64(self.latency_factor.to_bits());
-        h.write_u64(self.profile.input_reads_per_mac.to_bits());
-        h.write_u64(self.profile.psum_writes_per_mac.to_bits());
-        h.write_u64(self.profile.weight_feeds_per_mac.to_bits());
-        h.finish()
-    }
 }
 
 impl Dataflow {
@@ -520,29 +497,8 @@ impl Dataflow {
     }
 }
 
-/// FNV-1a, the same construction the core cache uses for config
-/// fingerprints.
-struct Fnv1a(u64);
-
-impl Fnv1a {
-    fn new() -> Fnv1a {
-        Fnv1a(0xcbf2_9ce4_8422_2325)
-    }
-
-    fn write_u64(&mut self, v: u64) {
-        for b in v.to_le_bytes() {
-            self.0 ^= u64::from(b);
-            self.0 = self.0.wrapping_mul(0x1_0000_01b3);
-        }
-    }
-
-    fn finish(&self) -> u64 {
-        self.0
-    }
-}
-
 /// A whole-model mapping: one [`Mapping`] per segment, in segment order.
-#[derive(Clone, PartialEq, Debug, Serialize, Deserialize)]
+#[derive(Clone, PartialEq, Debug, Serialize)]
 pub struct ModelMapping {
     model: String,
     label: String,
@@ -612,18 +568,6 @@ impl ModelMapping {
     /// Panics if `idx` is out of range.
     pub fn segment(&self, idx: usize) -> &Mapping {
         &self.per_segment[idx]
-    }
-
-    /// Stable fingerprint over every per-segment descriptor (order
-    /// sensitive) — the `EvalCache` key component that separates two
-    /// resolved mappings under the same [`Dataflow`] tag.
-    pub fn fingerprint(&self) -> u64 {
-        let mut h = Fnv1a::new();
-        h.write_u64(self.per_segment.len() as u64);
-        for m in &self.per_segment {
-            h.write_u64(m.fingerprint());
-        }
-        h.finish()
     }
 }
 
@@ -765,42 +709,5 @@ mod tests {
         let ext = LoopExtents::of(seg);
         assert_eq!(huge.levels[0].k, ext.k);
         assert_eq!(huge.levels[3].k, 1);
-    }
-
-    #[test]
-    fn fingerprints_separate_distinct_mappings() {
-        let sg = segments();
-        let seg = &sg.segments()[1];
-        let mappings = [
-            Mapping::weight_stationary(seg),
-            Mapping::output_stationary(seg),
-            Mapping::input_stationary(seg),
-            Mapping::fused_layer(seg),
-            Mapping::derived(Loop::K, 8, false, seg),
-            Mapping::derived(Loop::K, 16, false, seg),
-            Mapping::derived(Loop::K, 8, true, seg),
-        ];
-        for (i, a) in mappings.iter().enumerate() {
-            // Stable across calls.
-            assert_eq!(a.fingerprint(), a.fingerprint());
-            for b in mappings.iter().skip(i + 1) {
-                assert_ne!(a.fingerprint(), b.fingerprint());
-            }
-        }
-    }
-
-    #[test]
-    fn model_mapping_fingerprint_tracks_every_segment() {
-        let sg = segments();
-        let ws = ModelMapping::preset(Dataflow::WeightStationary, &sg);
-        let os = ModelMapping::preset(Dataflow::OutputStationary, &sg);
-        assert_ne!(ws.fingerprint(), os.fingerprint());
-        assert_eq!(ws.mappings().len(), sg.segment_count());
-
-        // Changing a single segment's mapping changes the fingerprint.
-        let mut mixed = ws.mappings().to_vec();
-        mixed[1] = Mapping::derived(Loop::K, 8, false, &sg.segments()[1]);
-        let mixed = ModelMapping::from_mappings(&sg, "mixed", mixed);
-        assert_ne!(mixed.fingerprint(), ws.fingerprint());
     }
 }

@@ -7,13 +7,13 @@
 //! aggregates one conv/fc layer with its trailing parameter-free ops, and
 //! segment edges carry the activation volumes that must cross chiplets.
 
-use serde::{Deserialize, Serialize};
+use serde::Serialize;
 
 use crate::graph::{EdgeKind, LayerGraph};
 use crate::layer::LayerId;
 
 /// Identifier of a segment inside a [`SegmentGraph`].
-#[derive(Copy, Clone, PartialEq, Eq, Hash, PartialOrd, Ord, Debug, Serialize, Deserialize)]
+#[derive(Copy, Clone, PartialEq, Eq, Hash, PartialOrd, Ord, Debug, Serialize)]
 pub struct SegmentId(pub u32);
 
 impl SegmentId {
@@ -26,7 +26,7 @@ impl SegmentId {
 
 /// One mappable unit: a weighted layer plus its trailing parameter-free
 /// operators.
-#[derive(Clone, Debug, PartialEq, Serialize, Deserialize)]
+#[derive(Clone, Debug, PartialEq, Serialize)]
 pub struct Segment {
     /// Dense id in topological order.
     pub id: SegmentId,
@@ -49,7 +49,7 @@ pub struct Segment {
 }
 
 /// A directed inter-segment activation transfer.
-#[derive(Copy, Clone, PartialEq, Eq, Debug, Serialize, Deserialize)]
+#[derive(Copy, Clone, PartialEq, Eq, Debug, Serialize)]
 pub struct SegmentEdge {
     /// Producer segment.
     pub src: SegmentId,
@@ -62,7 +62,7 @@ pub struct SegmentEdge {
 }
 
 /// The compressed dataflow graph consumed by the chiplet mapper.
-#[derive(Clone, Debug, PartialEq, Serialize, Deserialize)]
+#[derive(Clone, Debug, PartialEq, Serialize)]
 pub struct SegmentGraph {
     name: String,
     segments: Vec<Segment>,

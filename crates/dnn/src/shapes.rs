@@ -2,11 +2,11 @@
 
 use std::fmt;
 
-use serde::{Deserialize, Serialize};
+use serde::Serialize;
 
 /// Dataset a model is configured for; determines input resolution and
 /// class count (Table I pairs each model with ImageNet or CIFAR-10).
-#[derive(Copy, Clone, PartialEq, Eq, Hash, Debug, Serialize, Deserialize)]
+#[derive(Copy, Clone, PartialEq, Eq, Hash, Debug, Serialize)]
 pub enum Dataset {
     /// 224x224x3 inputs, 1000 classes.
     ImageNet,
@@ -43,7 +43,7 @@ impl fmt::Display for Dataset {
 
 /// Shape of a CHW feature map flowing between layers. Fully-connected
 /// feature vectors use `h = w = 1`.
-#[derive(Copy, Clone, PartialEq, Eq, Hash, Debug, Serialize, Deserialize)]
+#[derive(Copy, Clone, PartialEq, Eq, Hash, Debug, Serialize)]
 pub struct TensorShape {
     /// Channels (or features for FC layers).
     pub c: u32,

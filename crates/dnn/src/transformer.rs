@@ -7,10 +7,10 @@
 //! static weight storage (up to 8.98x for BERT-Base, 2.06x for BERT-Tiny).
 //! This module provides the parametric accounting behind that analysis.
 
-use serde::{Deserialize, Serialize};
+use serde::Serialize;
 
 /// Configuration of a BERT-style Transformer encoder stack.
-#[derive(Copy, Clone, PartialEq, Eq, Debug, Serialize, Deserialize)]
+#[derive(Copy, Clone, PartialEq, Eq, Debug, Serialize)]
 pub struct BertConfig {
     /// Encoder block count `L`.
     pub layers: u32,
@@ -159,7 +159,7 @@ pub fn lifetime_inferences(writes_per_inference: u64, cells: u64, endurance_cycl
 }
 
 /// One row of the Section IV storage sweep.
-#[derive(Copy, Clone, Debug, PartialEq, Serialize, Deserialize)]
+#[derive(Copy, Clone, Debug, PartialEq, Serialize)]
 pub struct StorageRow {
     /// Sequence length.
     pub seq: u32,

@@ -2,14 +2,14 @@
 //! executed on the 100-chiplet system, plus a seedless deterministic
 //! expansion into an ordered task queue.
 
-use serde::{Deserialize, Serialize};
+use serde::Serialize;
 
 use crate::shapes::Dataset;
 use crate::zoo::{build_model, table1, ModelKind, Table1Entry};
 
 /// One entry of a workload mix: `count` back-to-back instances of a
 /// Table I model.
-#[derive(Copy, Clone, PartialEq, Eq, Debug, Serialize, Deserialize)]
+#[derive(Copy, Clone, PartialEq, Eq, Debug, Serialize)]
 pub struct MixEntry {
     /// Number of consecutive instances.
     pub count: u32,
@@ -18,7 +18,7 @@ pub struct MixEntry {
 }
 
 /// A concurrent-DNN workload (one row of Table II).
-#[derive(Clone, Debug, PartialEq, Serialize, Deserialize)]
+#[derive(Clone, Debug, PartialEq, Serialize)]
 pub struct Workload {
     /// Mix name (`"WL1"`..`"WL5"`).
     pub name: String,

@@ -3,14 +3,14 @@
 
 use std::fmt;
 
-use serde::{Deserialize, Serialize};
+use serde::Serialize;
 
 use crate::graph::{GraphError, LayerGraph};
 use crate::models;
 use crate::shapes::Dataset;
 
 /// Model architecture selector for [`build_model`].
-#[derive(Copy, Clone, PartialEq, Eq, Hash, Debug, Serialize, Deserialize)]
+#[derive(Copy, Clone, PartialEq, Eq, Hash, Debug, Serialize)]
 #[non_exhaustive]
 pub enum ModelKind {
     /// ResNet-18.
@@ -97,7 +97,7 @@ pub fn build_model(kind: ModelKind, dataset: Dataset) -> Result<LayerGraph, Grap
 }
 
 /// One row of Table I.
-#[derive(Clone, Debug, PartialEq, Serialize, Deserialize)]
+#[derive(Clone, Debug, PartialEq, Serialize)]
 pub struct Table1Entry {
     /// Workload id, `"M1"` .. `"M13"`.
     pub id: &'static str,

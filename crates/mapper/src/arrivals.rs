@@ -7,13 +7,13 @@ use dnn::SegmentGraph;
 use rand::RngExt;
 use rand::SeedableRng;
 use rand_chacha::ChaCha8Rng;
-use serde::{Deserialize, Serialize};
+use serde::Serialize;
 
 use crate::placement::{CapacityLedger, TaskId, TaskPlacement};
 use crate::scheduler::Strategy;
 
 /// Arrival-process configuration (times are in abstract service units).
-#[derive(Clone, Debug, PartialEq, Serialize, Deserialize)]
+#[derive(Clone, Debug, PartialEq, Serialize)]
 pub struct ArrivalConfig {
     /// Mean inter-arrival time (Poisson process).
     pub mean_interarrival: f64,
@@ -34,7 +34,7 @@ impl Default for ArrivalConfig {
 }
 
 /// Outcome of one arrival-process run.
-#[derive(Clone, Debug, PartialEq, Serialize, Deserialize)]
+#[derive(Clone, Debug, PartialEq, Serialize)]
 pub struct ServiceOutcome {
     /// Placement of every admitted task, in admission order.
     pub placements: Vec<TaskPlacement>,
@@ -59,7 +59,7 @@ fn sample_exp(rng: &mut ChaCha8Rng, mean: f64) -> f64 {
 /// seed of an [`ArrivalConfig`] by [`sample_arrivals`]; every variant
 /// has the same mean rate `1 / mean_interarrival`, so offered load is
 /// comparable across shapes.
-#[derive(Clone, Debug, PartialEq, Serialize, Deserialize)]
+#[derive(Clone, Debug, PartialEq, Serialize)]
 pub enum ArrivalProcess {
     /// Memoryless Poisson arrivals.
     Poisson,
@@ -254,19 +254,7 @@ pub fn run_service(
         // Admit as many queued tasks as now fit (FIFO).
         while let Some(&idx) = queue.front() {
             let task = TaskId(topology::narrow::u32_idx(idx));
-            let mapped = match strategy {
-                Strategy::Sfc { order } => {
-                    crate::sfc::map_task_sfc_from(&mut ledger, order, cursor, task, &tasks[idx])
-                        .map(|(tp, next)| {
-                            cursor = next;
-                            tp
-                        })
-                }
-                Strategy::Greedy { topo, apsp, cfg } => {
-                    crate::greedy::map_task_greedy(&mut ledger, topo, apsp, task, &tasks[idx], cfg)
-                }
-            };
-            match mapped {
+            match strategy.map_task(&mut ledger, &mut cursor, task, &tasks[idx]) {
                 Ok(tp) => {
                     queue.pop_front();
                     admitted_at[idx] = now;

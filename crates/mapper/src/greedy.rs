@@ -4,7 +4,7 @@
 //! free space and strands unmapped chiplets (Fig. 4).
 
 use dnn::SegmentGraph;
-use serde::{Deserialize, Serialize};
+use serde::Serialize;
 use topology::{NodeId, Topology};
 
 use crate::placement::{
@@ -12,7 +12,7 @@ use crate::placement::{
 };
 
 /// Configuration of the greedy baseline.
-#[derive(Copy, Clone, Debug, PartialEq, Serialize, Deserialize)]
+#[derive(Copy, Clone, Debug, PartialEq, Serialize)]
 pub struct GreedyConfig {
     /// Maximum hop distance from the previous layer's chiplets within
     /// which the next layer's chiplets must be found.

@@ -3,11 +3,11 @@
 use std::fmt;
 
 use dnn::SegmentId;
-use serde::{Deserialize, Serialize};
+use serde::Serialize;
 use topology::NodeId;
 
 /// Identifier of a DNN task instance in the workload queue.
-#[derive(Copy, Clone, PartialEq, Eq, Hash, PartialOrd, Ord, Serialize, Deserialize)]
+#[derive(Copy, Clone, PartialEq, Eq, Hash, PartialOrd, Ord, Serialize)]
 pub struct TaskId(pub u32);
 
 impl TaskId {
@@ -31,7 +31,7 @@ impl fmt::Display for TaskId {
 }
 
 /// A slice of one chiplet's weight capacity allocated to a segment.
-#[derive(Copy, Clone, PartialEq, Eq, Debug, Serialize, Deserialize)]
+#[derive(Copy, Clone, PartialEq, Eq, Debug, Serialize)]
 pub struct NodeShare {
     /// The chiplet/PE.
     pub node: NodeId,
@@ -40,7 +40,7 @@ pub struct NodeShare {
 }
 
 /// Where one segment's weights live.
-#[derive(Clone, PartialEq, Eq, Debug, Serialize, Deserialize)]
+#[derive(Clone, PartialEq, Eq, Debug, Serialize)]
 pub struct SegmentPlacement {
     /// The segment.
     pub segment: SegmentId,
@@ -62,7 +62,7 @@ impl SegmentPlacement {
 }
 
 /// A fully mapped DNN task.
-#[derive(Clone, PartialEq, Eq, Debug, Serialize, Deserialize)]
+#[derive(Clone, PartialEq, Eq, Debug, Serialize)]
 pub struct TaskPlacement {
     /// Task id in the workload queue.
     pub task: TaskId,

@@ -8,7 +8,7 @@
 //! per-wave chiplet utilization at close time is the Fig. 4 metric.
 
 use dnn::SegmentGraph;
-use serde::{Deserialize, Serialize};
+use serde::Serialize;
 use topology::{NodeId, Topology};
 
 use crate::greedy::{map_task_greedy, GreedyConfig};
@@ -21,7 +21,7 @@ use crate::sfc::{map_task_sfc, map_task_sfc_from};
 /// This is the value that travels through scenario specs and the
 /// `pim-bench --strategy` flag (mirroring `NoiArch::from_name`); the
 /// platform layer turns it into a concrete [`Strategy`] instance.
-#[derive(Copy, Clone, Debug, PartialEq, Eq, Hash, Serialize, Deserialize)]
+#[derive(Copy, Clone, Debug, PartialEq, Eq, Hash, Serialize)]
 pub enum StrategyKind {
     /// Dataflow-aware SFC mapping along a Floret global order.
     Sfc,
@@ -111,7 +111,10 @@ impl<'a> Strategy<'a> {
         }
     }
 
-    fn map_task(
+    /// Maps one task: the SFC resumes its scan at `cursor` (and
+    /// advances it past the placement), the greedy searches under its
+    /// locality constraint.
+    pub(crate) fn map_task(
         &self,
         ledger: &mut CapacityLedger,
         cursor: &mut usize,
@@ -129,10 +132,31 @@ impl<'a> Strategy<'a> {
             }
         }
     }
+
+    /// The last attempt for a task that failed on an empty system: the
+    /// SFC scans its whole order from the start, the greedy lifts its
+    /// locality constraint (radius = diameter). The cursor is left
+    /// alone.
+    fn map_task_relaxed(
+        &self,
+        ledger: &mut CapacityLedger,
+        task: TaskId,
+        sg: &SegmentGraph,
+    ) -> Result<TaskPlacement, MapError> {
+        match self {
+            Strategy::Sfc { order } => map_task_sfc(ledger, order, task, sg),
+            Strategy::Greedy { topo, apsp, .. } => {
+                let cfg = GreedyConfig {
+                    radius: topo.diameter(),
+                };
+                map_task_greedy(ledger, topo, apsp, task, sg, &cfg)
+            }
+        }
+    }
 }
 
 /// One execution wave: the tasks resident together on the system.
-#[derive(Clone, Debug, PartialEq, Serialize, Deserialize)]
+#[derive(Clone, Debug, PartialEq, Serialize)]
 pub struct Wave {
     /// Placements of the admitted tasks.
     pub placements: Vec<TaskPlacement>,
@@ -143,7 +167,7 @@ pub struct Wave {
 }
 
 /// Outcome of scheduling a whole workload queue.
-#[derive(Clone, Debug, PartialEq, Serialize, Deserialize)]
+#[derive(Clone, Debug, PartialEq, Serialize)]
 pub struct QueueOutcome {
     /// Execution waves in order.
     pub waves: Vec<Wave>,
@@ -201,16 +225,7 @@ pub fn run_queue(
             Err(_) if current.placements.is_empty() => {
                 // Empty system and still unmappable: retry unconstrained,
                 // then give up on this task.
-                let relaxed = match strategy {
-                    Strategy::Greedy { topo, apsp, .. } => {
-                        let cfg = GreedyConfig {
-                            radius: topo.diameter(),
-                        };
-                        map_task_greedy(&mut ledger, topo, apsp, task, sg, &cfg)
-                    }
-                    Strategy::Sfc { order } => map_task_sfc(&mut ledger, order, task, sg),
-                };
-                match relaxed {
+                match strategy.map_task_relaxed(&mut ledger, task, sg) {
                     Ok(tp) => {
                         current.placements.push(tp);
                         idx += 1;
@@ -249,7 +264,7 @@ pub fn run_queue(
 }
 
 /// Outcome of the dynamic-churn scheduler.
-#[derive(Clone, Debug, PartialEq, Serialize, Deserialize)]
+#[derive(Clone, Debug, PartialEq, Serialize)]
 pub struct ChurnOutcome {
     /// Placement of every successfully mapped task, in admission order.
     /// Each placement reflects the fragmented system state at its
@@ -319,16 +334,7 @@ pub fn run_churn_with_ledger(
                         departures += 1;
                     } else {
                         // Empty system: retry unconstrained, else skip.
-                        let relaxed = match strategy {
-                            Strategy::Greedy { topo, apsp, .. } => {
-                                let cfg = GreedyConfig {
-                                    radius: topo.diameter(),
-                                };
-                                map_task_greedy(&mut ledger, topo, apsp, task, sg, &cfg)
-                            }
-                            Strategy::Sfc { order } => map_task_sfc(&mut ledger, order, task, sg),
-                        };
-                        match relaxed {
+                        match strategy.map_task_relaxed(&mut ledger, task, sg) {
                             Ok(tp) => {
                                 resident.push_back(task);
                                 placements.push(tp);

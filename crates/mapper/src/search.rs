@@ -380,7 +380,6 @@ mod tests {
         let a = search_model(&sg, &cfg, &opts);
         let b = search_model(&sg, &cfg, &opts);
         assert_eq!(a, b);
-        assert_eq!(a.mapping.fingerprint(), b.mapping.fingerprint());
         // The reported sums match re-costing the returned mapping.
         let c = pim::model_cost_mapped(&sg, &cfg, &a.mapping);
         assert_eq!(c.energy_pj, a.energy_pj);

@@ -13,14 +13,14 @@
 use std::collections::BTreeMap;
 
 use dnn::{Dataflow, ModelMapping, NoiPolicy, SegmentEdge, SegmentGraph};
-use serde::{Deserialize, Serialize};
+use serde::Serialize;
 use topology::NodeId;
 
 use crate::placement::{TaskId, TaskPlacement};
 use crate::scheduler::Wave;
 
 /// One aggregated point-to-point transfer per inference pass.
-#[derive(Copy, Clone, PartialEq, Eq, Debug, Serialize, Deserialize)]
+#[derive(Copy, Clone, PartialEq, Eq, Debug, Serialize)]
 pub struct Transfer {
     /// Source chiplet.
     pub src: NodeId,

@@ -4,14 +4,14 @@
 //! Section III evaluates thousands of candidate mappings); the
 //! discrete-event simulator in [`crate::simulate`] validates its trends.
 
-use serde::{Deserialize, Serialize};
+use serde::Serialize;
 use topology::{HwParams, Topology};
 
 use crate::flow::Flow;
 use crate::routing::RouteTable;
 
 /// Analytical performance/energy report for one traffic pattern.
-#[derive(Clone, Debug, PartialEq, Serialize, Deserialize)]
+#[derive(Clone, Debug, PartialEq, Serialize)]
 pub struct AnalyticalReport {
     /// Mean zero-load packet latency over flows (header path delay plus
     /// serialization), cycles.

@@ -48,14 +48,14 @@
 use std::cmp::Reverse;
 use std::collections::binary_heap::{BinaryHeap, PeekMut};
 
-use serde::{Deserialize, Serialize};
+use serde::Serialize;
 use topology::{HwParams, LinkId, NodeId, Topology};
 
 use crate::flow::Flow;
 use crate::routing::RouteTable;
 
 /// Simulator knobs.
-#[derive(Copy, Clone, Debug, PartialEq, Serialize, Deserialize)]
+#[derive(Copy, Clone, Debug, PartialEq, Serialize)]
 pub struct SimConfig {
     /// Maximum packet payload in bytes; flows are segmented into packets
     /// of this size.
@@ -69,7 +69,7 @@ impl Default for SimConfig {
 }
 
 /// Result of one simulation run.
-#[derive(Clone, Debug, PartialEq, Serialize, Deserialize)]
+#[derive(Clone, Debug, PartialEq, Serialize)]
 pub struct SimReport {
     /// Cycle at which the last packet was delivered.
     pub makespan_cycles: u64,

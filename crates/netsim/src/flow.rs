@@ -1,10 +1,10 @@
 //! Traffic descriptors consumed by the analytical model and the simulator.
 
-use serde::{Deserialize, Serialize};
+use serde::Serialize;
 use topology::NodeId;
 
 /// One aggregated point-to-point traffic flow.
-#[derive(Copy, Clone, PartialEq, Eq, Debug, Serialize, Deserialize)]
+#[derive(Copy, Clone, PartialEq, Eq, Debug, Serialize)]
 pub struct Flow {
     /// Source chiplet/PE.
     pub src: NodeId,

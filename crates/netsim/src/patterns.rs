@@ -5,13 +5,13 @@
 use rand::RngExt;
 use rand::SeedableRng;
 use rand_chacha::ChaCha8Rng;
-use serde::{Deserialize, Serialize};
+use serde::Serialize;
 use topology::{NodeId, Topology};
 
 use crate::flow::Flow;
 
 /// A synthetic traffic pattern.
-#[derive(Copy, Clone, PartialEq, Eq, Debug, Serialize, Deserialize)]
+#[derive(Copy, Clone, PartialEq, Eq, Debug, Serialize)]
 #[non_exhaustive]
 pub enum TrafficPattern {
     /// Every node sends to a uniformly random destination.

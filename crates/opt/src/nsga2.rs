@@ -5,12 +5,12 @@
 use rand::RngExt;
 use rand::SeedableRng;
 use rand_chacha::ChaCha8Rng;
-use serde::{Deserialize, Serialize};
+use serde::Serialize;
 
 use crate::problem::{dominates, Problem};
 
 /// NSGA-II configuration.
-#[derive(Clone, Debug, PartialEq, Serialize, Deserialize)]
+#[derive(Clone, Debug, PartialEq, Serialize)]
 pub struct NsgaConfig {
     /// Population size.
     pub population: usize,

@@ -4,12 +4,12 @@
 use rand::RngExt;
 use rand::SeedableRng;
 use rand_chacha::ChaCha8Rng;
-use serde::{Deserialize, Serialize};
+use serde::Serialize;
 
 use crate::problem::Problem;
 
 /// Simulated-annealing configuration.
-#[derive(Clone, Debug, PartialEq, Serialize, Deserialize)]
+#[derive(Clone, Debug, PartialEq, Serialize)]
 pub struct SaConfig {
     /// Iterations.
     pub iterations: u32,

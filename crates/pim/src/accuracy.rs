@@ -8,10 +8,10 @@
 //! effective weight error grows, degrading DNN top-1 accuracy (the paper
 //! reports up to an 11% drop for a performance-only 3D mapping).
 
-use serde::{Deserialize, Serialize};
+use serde::Serialize;
 
 /// Parameters of the conductance-window / accuracy degradation model.
-#[derive(Clone, Debug, PartialEq, Serialize, Deserialize)]
+#[derive(Clone, Debug, PartialEq, Serialize)]
 pub struct ThermalNoiseModel {
     /// Temperature above which the window starts collapsing, K.
     pub onset_k: f64,

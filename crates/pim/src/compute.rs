@@ -9,12 +9,12 @@
 //! enum factors because the presets snap to the same literals.
 
 use dnn::{Dataflow, Mapping, ModelMapping, Segment, SegmentGraph};
-use serde::{Deserialize, Serialize};
+use serde::Serialize;
 
 use crate::config::PimConfig;
 
 /// Compute-side cost of running one segment on its allocated chiplets.
-#[derive(Copy, Clone, Debug, PartialEq, Serialize, Deserialize)]
+#[derive(Copy, Clone, Debug, PartialEq, Serialize)]
 pub struct SegmentCost {
     /// Chiplets/PEs the segment's weights occupy.
     pub nodes: u64,
@@ -126,7 +126,7 @@ pub fn segment_program_cost(seg: &Segment, cfg: &PimConfig) -> (f64, f64) {
 }
 
 /// Whole-model compute summary.
-#[derive(Copy, Clone, Debug, PartialEq, Serialize, Deserialize)]
+#[derive(Copy, Clone, Debug, PartialEq, Serialize)]
 pub struct ModelComputeCost {
     /// Total chiplets/PEs needed to hold every weighted segment.
     pub total_nodes: u64,

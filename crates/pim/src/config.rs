@@ -5,10 +5,10 @@
 //! bit-serial input streaming, and microsecond-scale per-layer latencies
 //! dominated by ADC conversion.
 
-use serde::{Deserialize, Serialize};
+use serde::Serialize;
 
 /// Parameters of a ReRAM PIM chiplet (2.5D) or PE (3D).
-#[derive(Clone, Debug, PartialEq, Serialize, Deserialize)]
+#[derive(Clone, Debug, PartialEq, Serialize)]
 pub struct PimConfig {
     /// Crossbar rows (wordlines).
     pub crossbar_rows: u32,

@@ -52,7 +52,7 @@
 
 use std::fmt;
 
-use serde::{Deserialize, Serialize};
+use serde::Serialize;
 
 /// Error produced by power-map construction, solver construction or a
 /// checked solve.
@@ -117,7 +117,7 @@ impl fmt::Display for ThermalError {
 impl std::error::Error for ThermalError {}
 
 /// Thermal network parameters.
-#[derive(Clone, Debug, PartialEq, Serialize, Deserialize)]
+#[derive(Clone, Debug, PartialEq, Serialize)]
 pub struct ThermalConfig {
     /// Conductance between laterally adjacent PEs, W/K.
     pub g_lateral: f64,
@@ -185,7 +185,7 @@ impl Default for ThermalConfig {
 }
 
 /// Per-PE power dissipation over a `w x h x tiers` grid, in watts.
-#[derive(Clone, Debug, PartialEq, Serialize, Deserialize)]
+#[derive(Clone, Debug, PartialEq, Serialize)]
 pub struct PowerMap {
     w: u16,
     h: u16,
@@ -264,7 +264,7 @@ impl PowerMap {
 }
 
 /// Steady-state temperature field.
-#[derive(Clone, Debug, PartialEq, Serialize, Deserialize)]
+#[derive(Clone, Debug, PartialEq, Serialize)]
 pub struct ThermalMap {
     w: u16,
     h: u16,

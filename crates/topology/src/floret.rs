@@ -12,7 +12,7 @@
 //! network then connects the tail of each SFC to the heads of the other
 //! SFCs whenever they are at most three hops apart.
 
-use serde::{Deserialize, Serialize};
+use serde::Serialize;
 
 use crate::graph::{Coord, NodeId, Topology, TopologyBuilder, TopologyError, TopologyKind};
 
@@ -22,7 +22,7 @@ use crate::graph::{Coord, NodeId, Topology, TopologyBuilder, TopologyError, Topo
 pub const MAX_INTER_SFC_HOPS: u32 = 3;
 
 /// One petal of the Floret curve: a contiguous single-hop path of chiplets.
-#[derive(Clone, Debug, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Clone, Debug, PartialEq, Eq, Serialize)]
 pub struct Petal {
     /// Node ids along the SFC path; `nodes[0]` is the head, the last entry
     /// is the tail.
@@ -54,7 +54,7 @@ impl Petal {
 /// The SFC decomposition accompanying a Floret topology: the petal paths
 /// and the derived global chiplet ordering used by the dataflow-aware
 /// mapper.
-#[derive(Clone, Debug, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Clone, Debug, PartialEq, Eq, Serialize)]
 pub struct FloretLayout {
     petals: Vec<Petal>,
 }

@@ -8,12 +8,12 @@
 use std::collections::VecDeque;
 use std::fmt;
 
-use serde::{Deserialize, Serialize};
+use serde::Serialize;
 
 /// Identifier of a router/chiplet node inside a [`Topology`].
 ///
 /// Node ids are dense: they always range over `0..topology.node_count()`.
-#[derive(Copy, Clone, PartialEq, Eq, Hash, PartialOrd, Ord, Serialize, Deserialize)]
+#[derive(Copy, Clone, PartialEq, Eq, Hash, PartialOrd, Ord, Serialize)]
 pub struct NodeId(pub u32);
 
 impl NodeId {
@@ -43,7 +43,7 @@ impl From<u32> for NodeId {
 }
 
 /// Identifier of a link inside a [`Topology`].
-#[derive(Copy, Clone, PartialEq, Eq, Hash, PartialOrd, Ord, Serialize, Deserialize)]
+#[derive(Copy, Clone, PartialEq, Eq, Hash, PartialOrd, Ord, Serialize)]
 pub struct LinkId(pub u32);
 
 impl LinkId {
@@ -62,7 +62,7 @@ impl fmt::Debug for LinkId {
 
 /// Integer grid coordinate of a router. `z` is the tier for 3D stacks and is
 /// zero for 2.5D interposer systems.
-#[derive(Copy, Clone, PartialEq, Eq, Hash, Debug, Default, Serialize, Deserialize)]
+#[derive(Copy, Clone, PartialEq, Eq, Hash, Debug, Default, Serialize)]
 pub struct Coord {
     /// Column (x position on the interposer / tier).
     pub x: u16,
@@ -112,7 +112,7 @@ impl fmt::Display for Coord {
 }
 
 /// A router node and the chiplet/PE attached to it.
-#[derive(Copy, Clone, PartialEq, Eq, Debug, Serialize, Deserialize)]
+#[derive(Copy, Clone, PartialEq, Eq, Debug, Serialize)]
 pub struct Node {
     /// Dense identifier of this node.
     pub id: NodeId,
@@ -121,7 +121,7 @@ pub struct Node {
 }
 
 /// An undirected link between two routers.
-#[derive(Copy, Clone, PartialEq, Debug, Serialize, Deserialize)]
+#[derive(Copy, Clone, PartialEq, Debug, Serialize)]
 pub struct Link {
     /// Dense identifier of this link.
     pub id: LinkId,
@@ -151,7 +151,7 @@ impl Link {
 }
 
 /// The family a generated topology belongs to.
-#[derive(Copy, Clone, PartialEq, Eq, Hash, Debug, Serialize, Deserialize)]
+#[derive(Copy, Clone, PartialEq, Eq, Hash, Debug, Serialize)]
 #[non_exhaustive]
 pub enum TopologyKind {
     /// SIAM-style 2D mesh network-on-interposer.
@@ -389,7 +389,7 @@ impl TopologyBuilder {
 /// Construct via [`TopologyBuilder`] or one of the generator functions in
 /// this crate ([`crate::mesh2d`], [`crate::kite`], [`crate::swap`],
 /// [`crate::floret`], ...).
-#[derive(Clone, Debug, Serialize, Deserialize)]
+#[derive(Clone, Debug, Serialize)]
 pub struct Topology {
     kind: TopologyKind,
     name: String,

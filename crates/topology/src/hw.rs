@@ -10,7 +10,7 @@
 //! so the absolute calibration of these constants matters less than the
 //! scaling behaviour, which is standard (Dally & Towles).
 
-use serde::{Deserialize, Serialize};
+use serde::Serialize;
 
 use crate::graph::Topology;
 
@@ -25,7 +25,7 @@ use crate::graph::Topology;
 /// assert!(hw.router_area_mm2(4) > hw.router_area_mm2(2));
 /// assert!(hw.router_energy_pj_per_bit(8) > hw.router_energy_pj_per_bit(3));
 /// ```
-#[derive(Clone, Debug, PartialEq, Serialize, Deserialize)]
+#[derive(Clone, Debug, PartialEq, Serialize)]
 pub struct HwParams {
     /// Network clock frequency in GHz.
     pub clock_ghz: f64,

@@ -3,7 +3,7 @@
 
 use std::collections::BTreeMap;
 
-use serde::{Deserialize, Serialize};
+use serde::Serialize;
 
 use crate::graph::Topology;
 use crate::hw::HwParams;
@@ -55,7 +55,7 @@ pub fn bisection_links(topo: &Topology) -> usize {
 
 /// Aggregate structural summary of one NoI/NoC architecture — one row of
 /// the Fig. 2 comparison.
-#[derive(Clone, Debug, PartialEq, Serialize, Deserialize)]
+#[derive(Clone, Debug, PartialEq, Serialize)]
 pub struct TopologySummary {
     /// Architecture name.
     pub name: String,
